@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_context.h"
 #include "src/accltl/parser.h"
 #include "src/analysis/decide.h"
 #include "src/analysis/properties.h"
@@ -283,6 +284,7 @@ void WitnessShrinking() {
 }  // namespace
 
 int main() {
+  accltl::bench::PrintBuildContext();
   std::printf("=== Ablations (DESIGN.md design choices) ===\n\n");
   PruningAblation();
   MonitorEngineAblation();

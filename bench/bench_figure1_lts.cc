@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_context.h"
 #include "src/schema/lts.h"
 #include "src/workload/workload.h"
 
@@ -32,6 +33,7 @@ void Explore(const workload::PhoneDirectory& pd,
 }  // namespace
 
 int Main() {
+  bench::PrintBuildContext();
   workload::PhoneDirectory pd = workload::MakePhoneDirectory();
   std::printf("Figure 1: tree of possible paths for the phone schema\n");
   std::printf("universe sizes: small (3 tuples) and larger (13 tuples)\n\n");

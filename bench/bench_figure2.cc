@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_context.h"
 #include "src/accltl/fragments.h"
 #include "src/accltl/parser.h"
 #include "src/common/rng.h"
@@ -31,6 +32,7 @@ int Rank(acc::Fragment f) {
 }  // namespace
 
 int Main() {
+  bench::PrintBuildContext();
   workload::PhoneDirectory pd = workload::MakePhoneDirectory();
   Rng rng(2026);
 

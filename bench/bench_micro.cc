@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_context.h"
 #include "src/accltl/parser.h"
 #include "src/analysis/accessible.h"
 #include "src/analysis/decide.h"
@@ -408,25 +409,5 @@ BENCHMARK(BM_LongTermRelevance);
 // PRs diff these files to track the perf trajectory); explicit
 // --benchmark_out flags win.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  static char out_flag[] = "--benchmark_out=BENCH_micro.json";
-  static char fmt_flag[] = "--benchmark_out_format=json";
-  bool has_out = false;
-  bool has_fmt = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-    if (std::strncmp(argv[i], "--benchmark_out_format=", 23) == 0) {
-      has_fmt = true;
-    }
-  }
-  if (!has_out) args.push_back(out_flag);
-  if (!has_out && !has_fmt) args.push_back(fmt_flag);
-  int effective_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&effective_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(effective_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return accltl::bench::RunBenchmarks(argc, argv, "BENCH_micro.json");
 }

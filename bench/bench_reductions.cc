@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_context.h"
 #include "src/accltl/fragments.h"
 #include "src/reductions/fd_implication.h"
 #include "src/reductions/undecidability.h"
@@ -26,6 +27,7 @@ reductions::ImplicationInstance MakeInstance(bool implied) {
 }  // namespace
 
 int Main() {
+  bench::PrintBuildContext();
   std::printf("E8: undecidability reductions on decidable sub-instances\n\n");
   std::printf("%-12s | %-8s | %-30s | %s\n", "instance", "implied?",
               "reduction target", "classified fragment");

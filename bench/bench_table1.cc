@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench/bench_context.h"
 #include "src/accltl/fragments.h"
 #include "src/accltl/parser.h"
 #include "src/analysis/decide.h"
@@ -43,6 +44,7 @@ void Print(const Row& r) {
 }  // namespace
 
 int Main() {
+  bench::PrintBuildContext();
   workload::PhoneDirectory pd = workload::MakePhoneDirectory();
   const schema::Schema& sch = pd.schema;
 

@@ -349,8 +349,11 @@ class ZeroSolver {
         schema_(schema),
         options_(options),
         exec_(exec),
-        workers_(std::max<size_t>(1, exec.num_threads)),
-        compact_(exec.visited_mode == engine::VisitedMode::kCompact) {}
+        workers_(std::max<size_t>(1, exec.num_threads)) {
+    if (exec.visited_mode == engine::VisitedMode::kCompact) {
+      compact_.emplace(64);
+    }
+  }
 
   Result<ZeroSolverResult> Run() {
     // Search on the shared engine: serial pf-DFS at one worker,
@@ -424,14 +427,15 @@ class ZeroSolver {
   /// fact mask folds into a pair of leaves, the tableau subset into a
   /// canonical set trie — ref equality ⇔ equal state (treedb.h).
   store::TreeRef NodeRef(uint64_t facts, const std::vector<int>& tableau) {
+    store::TreeDb& treedb = compact_->treedb;
     store::TreeRef tab = store::kNilTreeRef;
     for (int t : tableau) {
-      tab = treedb_.InsertSet(tab, static_cast<uint32_t>(t));
+      tab = treedb.InsertSet(tab, static_cast<uint32_t>(t));
     }
-    store::TreeRef facts_ref = treedb_.InternPair(
-        treedb_.InternLeaf(static_cast<uint32_t>(facts & 0xffffffffu)),
-        treedb_.InternLeaf(static_cast<uint32_t>(facts >> 32)));
-    return treedb_.InternPair(facts_ref, tab);
+    store::TreeRef facts_ref = treedb.InternPair(
+        treedb.InternLeaf(static_cast<uint32_t>(facts & 0xffffffffu)),
+        treedb.InternLeaf(static_cast<uint32_t>(facts >> 32)));
+    return treedb.InternPair(facts_ref, tab);
   }
 
   std::vector<std::unique_ptr<ZeroNode>> MakeRoots() {
@@ -487,15 +491,14 @@ class ZeroSolver {
               // the sweep re-interns from its roots, so the final node
               // count never depends on what the pilot touched.
               visited_.Clear();
-              compact_visited_.Clear();
-              treedb_.Clear();
+              if (compact_) compact_->Clear();
               visited_bytes_.store(0, std::memory_order_relaxed);
               truncated_.store(false, std::memory_order_relaxed);
               memory_truncated_.store(false, std::memory_order_relaxed);
             });
     stats.visited_bytes = visited_bytes_.load(std::memory_order_relaxed) +
-                          (compact_ ? treedb_.bytes() : 0);
-    stats.treedb_nodes = compact_ ? treedb_.num_nodes() : 0;
+                          TreeDbBytes();
+    stats.treedb_nodes = compact_ ? compact_->treedb.num_nodes() : 0;
     return Finalize(stats);
   }
 
@@ -541,7 +544,7 @@ class ZeroSolver {
       entry.ref = node.ref;
       entry.depth = node.depth;
       entry.path = std::shared_ptr<const void>(node.path, node.path.get());
-      bool dominated = compact_visited_.CheckAndInsert(
+      bool dominated = compact_->visited.CheckAndInsert(
           std::move(entry),
           [](const engine::CompactEntry& existing,
              const engine::CompactEntry& candidate) {
@@ -588,8 +591,13 @@ class ZeroSolver {
     size_t cap = exec_.max_visited_bytes;
     if (cap == 0) return false;
     size_t used = visited_bytes_.load(std::memory_order_relaxed) +
-                  (compact_ ? treedb_.bytes() : 0);
+                  TreeDbBytes();
     return used > cap;
+  }
+
+  /// The treedb arena's share of visited_bytes (compact mode only).
+  size_t TreeDbBytes() const {
+    return compact_ ? compact_->treedb.bytes() : 0;
   }
 
   std::unique_ptr<ZeroNode> MakeNode(const ZeroNode& parent, Child& child) {
@@ -911,11 +919,9 @@ class ZeroSolver {
   engine::BestPathTracker<schema::AccessStep> best_;
   std::atomic<bool> truncated_{false};
 
-  /// Compact-mode storage (see engine/cancel.h VisitedMode) and the
-  /// byte accounting shared by both modes.
-  bool compact_;
-  store::TreeDb treedb_;
-  engine::CompactVisitedTable compact_visited_{64};
+  /// Compact-mode storage (see engine/cancel.h VisitedMode), engaged
+  /// only under kCompact, and the byte accounting shared by both modes.
+  std::optional<engine::CompactSearchStorage> compact_;
   std::atomic<size_t> visited_bytes_{0};
   std::atomic<bool> memory_truncated_{false};
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -37,11 +35,13 @@ struct WitnessMetrics {
   obs::Counter* expansions;
   obs::Counter* children;
   obs::Counter* plan_builds;
+  obs::Histogram* reduce_us;  // per level-sweep barrier reduction
   static const WitnessMetrics& Get() {
     static const WitnessMetrics m{
         obs::Registry::Get().counter("automata.expansions"),
         obs::Registry::Get().counter("automata.children"),
         obs::Registry::Get().counter("automata.plan_builds"),
+        obs::Registry::Get().histogram("automata.search.reduce_us"),
     };
     return m;
   }
@@ -674,8 +674,10 @@ class Search {
         exec_(exec),
         initial_(initial),
         plan_(GetPlan(automaton, schema)),
-        workers_(std::max<size_t>(1, exec.num_threads)),
-        compact_(exec.visited_mode == engine::VisitedMode::kCompact) {
+        workers_(std::max<size_t>(1, exec.num_threads)) {
+    if (exec.visited_mode == engine::VisitedMode::kCompact) {
+      compact_.emplace(256);
+    }
     local_views_.reserve(workers_);
     for (size_t i = 0; i < workers_; ++i) {
       local_views_.emplace_back(&index_cache_);
@@ -702,12 +704,12 @@ class Search {
             [this](std::vector<std::vector<SearchNode*>> batches) {
               auto start = std::chrono::steady_clock::now();
               auto frontier = ReduceLevel(std::move(batches));
-              reduce_micros_ +=
-                  static_cast<uint64_t>(std::chrono::duration_cast<
-                                            std::chrono::microseconds>(
-                                            std::chrono::steady_clock::now() -
-                                            start)
-                                            .count());
+              if (obs::MetricsEnabled()) {
+                WitnessMetrics::Get().reduce_us->Record(static_cast<uint64_t>(
+                    std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count()));
+              }
               // The byte budget's level-mode cut point: decided at the
               // barrier over the complete reduced frontier, so the cut
               // level is schedule-independent.
@@ -725,22 +727,14 @@ class Search {
               // the sweep re-interns from its roots, so the final node
               // count never depends on what the pilot touched.
               visited_.Clear();
-              compact_visited_.Clear();
-              treedb_.Clear();
+              if (compact_) compact_->Clear();
               visited_bytes_.store(0, std::memory_order_relaxed);
               realization_truncated_.store(false, std::memory_order_relaxed);
               memory_truncated_.store(false, std::memory_order_relaxed);
             });
     stats.visited_bytes =
-        visited_bytes_.load(std::memory_order_relaxed) +
-        (compact_ ? treedb_.bytes() : 0);
-    stats.treedb_nodes = compact_ ? treedb_.num_nodes() : 0;
-    if (std::getenv("ACCLTL_SEARCH_DEBUG") != nullptr) {
-      std::fprintf(stderr, "search: nodes=%zu reduce_ms=%llu visited_b=%zu\n",
-                   stats.nodes_explored,
-                   static_cast<unsigned long long>(reduce_micros_ / 1000),
-                   stats.visited_bytes);
-    }
+        visited_bytes_.load(std::memory_order_relaxed) + TreeDbBytes();
+    stats.treedb_nodes = compact_ ? compact_->treedb.num_nodes() : 0;
     return Finalize(stats);
   }
 
@@ -758,15 +752,16 @@ class Search {
           std::max(root->fresh_base, logic::FreshValueIndex(v) + 1);
     }
     if (compact_) {
+      store::TreeDb& treedb = compact_->treedb;
       root->rel_refs.resize(schema_.num_relations());
       for (RelationId r = 0; r < schema_.num_relations(); ++r) {
         const std::vector<store::FactId>& ids = initial_.facts(r)->ids();
-        root->rel_refs[r] = treedb_.SetFromKeys(ids.data(), ids.size());
+        root->rel_refs[r] = treedb.SetFromKeys(ids.data(), ids.size());
       }
       root->config_ref =
-          treedb_.InternTuple(root->rel_refs.data(), root->rel_refs.size());
-      root->ref = treedb_.InternPair(
-          treedb_.InternLeaf(static_cast<uint32_t>(root->state)),
+          treedb.InternTuple(root->rel_refs.data(), root->rel_refs.size());
+      root->ref = treedb.InternPair(
+          treedb.InternLeaf(static_cast<uint32_t>(root->state)),
           root->config_ref);
     }
     if (options_.use_visited_dedup) {
@@ -1013,7 +1008,7 @@ class Search {
       entry.ref = node.ref;
       entry.depth = node.depth;
       entry.path = std::shared_ptr<const void>(node.path, node.path.get());
-      bool dominated = compact_visited_.CheckAndInsert(
+      bool dominated = compact_->visited.CheckAndInsert(
           std::move(entry),
           [](const engine::CompactEntry& existing,
              const engine::CompactEntry& candidate) {
@@ -1060,8 +1055,13 @@ class Search {
     size_t cap = exec_.max_visited_bytes;
     if (cap == 0) return false;
     size_t used = visited_bytes_.load(std::memory_order_relaxed) +
-                  (compact_ ? treedb_.bytes() : 0);
+                  TreeDbBytes();
     return used > cap;
+  }
+
+  /// The treedb arena's share of visited_bytes (compact mode only).
+  size_t TreeDbBytes() const {
+    return compact_ ? compact_->treedb.bytes() : 0;
   }
 
   std::unique_ptr<SearchNode> MakeNode(const SearchNode& parent,
@@ -1080,20 +1080,21 @@ class Search {
       // then the O(log R) tuple spine and the (state, config) pair
       // re-intern — the unchanged relations' subtrees are shared with
       // the parent by construction.
+      store::TreeDb& treedb = compact_->treedb;
       next->rel_refs = parent.rel_refs;
       store::TreeRef set = next->rel_refs[child.rel];
       for (store::FactId f : child.response_ids) {
-        set = treedb_.InsertSet(set, f);
+        set = treedb.InsertSet(set, f);
       }
       if (set != parent.rel_refs[child.rel]) {
         next->rel_refs[child.rel] = set;
-        next->config_ref = treedb_.UpdateTuple(
+        next->config_ref = treedb.UpdateTuple(
             parent.config_ref, next->rel_refs.size(), child.rel, set);
       } else {
         next->config_ref = parent.config_ref;
       }
-      next->ref = treedb_.InternPair(
-          treedb_.InternLeaf(static_cast<uint32_t>(next->state)),
+      next->ref = treedb.InternPair(
+          treedb.InternLeaf(static_cast<uint32_t>(next->state)),
           next->config_ref);
     }
     return next;
@@ -1213,19 +1214,16 @@ class Search {
   engine::ShardedVisitedTable<VisitedEntry> visited_{256};
   std::atomic<bool> realization_truncated_{false};
 
-  /// Compact-mode storage (see engine/cancel.h VisitedMode): the
-  /// tree-compressed configuration database plus the fixed-slot
-  /// visited table. visited_bytes_ tracks the live entries' logical
-  /// footprint in *either* mode; memory_truncated_ latches a byte-
-  /// budget cut (reported as exhausted_budget).
-  bool compact_;
-  store::TreeDb treedb_;
-  engine::CompactVisitedTable compact_visited_{256};
+  /// Compact-mode storage (see engine/cancel.h VisitedMode), engaged
+  /// only under kCompact: the tree-compressed configuration database
+  /// plus the fixed-slot visited table. visited_bytes_ tracks the live
+  /// entries' logical footprint in *either* mode; memory_truncated_
+  /// latches a byte-budget cut (reported as exhausted_budget).
+  std::optional<engine::CompactSearchStorage> compact_;
   std::atomic<size_t> visited_bytes_{0};
   std::atomic<bool> memory_truncated_{false};
 
   engine::BestPathTracker<schema::AccessStep> best_;
-  uint64_t reduce_micros_ = 0;  // caller-thread only (barrier phase)
 };
 
 }  // namespace

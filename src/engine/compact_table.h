@@ -188,6 +188,23 @@ class CompactVisitedTable {
   std::vector<Shard> shards_;
 };
 
+/// Compact-mode storage of one search: the tree database its node
+/// identities intern into plus the visited table keyed by them. The
+/// searches hold it in a std::optional engaged only under
+/// VisitedMode::kCompact, so an exact-mode search constructs none of it.
+struct CompactSearchStorage {
+  explicit CompactSearchStorage(size_t shard_count) : visited(shard_count) {}
+
+  /// The pilot-reset hook's discard (quiescent callers only).
+  void Clear() {
+    visited.Clear();
+    treedb.Clear();
+  }
+
+  store::TreeDb treedb;
+  CompactVisitedTable visited;
+};
+
 /// Serial quotient set of tree refs: the LTS explorer's seen-set,
 /// consulted only inside the level barrier (one thread). Open
 /// addressing over raw refs — ~4 bytes of payload per distinct

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 
 #include "src/engine/compact_table.h"
 #include "src/engine/explorer.h"
@@ -272,9 +273,16 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
     s.max_configuration_facts = initial.TotalFacts();
     stats.push_back(s);
   }
-  bool compact = exec.visited_mode == engine::VisitedMode::kCompact;
-  store::TreeDb treedb;
-  engine::CompactRefSet ref_seen;
+  // Compact-mode storage, engaged only under kCompact: the tree
+  // database the configurations fold into plus the seen-set of their
+  // refs.
+  struct CompactStorage {
+    store::TreeDb treedb;
+    engine::CompactRefSet seen;
+    size_t bytes() const { return seen.bytes() + treedb.bytes(); }
+  };
+  std::optional<CompactStorage> compact;
+  if (exec.visited_mode == engine::VisitedMode::kCompact) compact.emplace();
   // Logical footprint of one exact seen-entry: the full materialized
   // configuration — handle, per-relation set headers, and every fact
   // id (sizes, never capacities). COW sharing between entries is an
@@ -294,9 +302,8 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
   size_t exact_bytes = config_bytes(initial);
   auto report_memory = [&]() {
     if (memory == nullptr) return;
-    memory->visited_bytes =
-        compact ? ref_seen.bytes() + treedb.bytes() : exact_bytes;
-    memory->treedb_nodes = compact ? treedb.num_nodes() : 0;
+    memory->visited_bytes = compact ? compact->bytes() : exact_bytes;
+    memory->treedb_nodes = compact ? compact->treedb.num_nodes() : 0;
   };
   auto root = std::make_unique<LtsNode>();
   root->config = initial;
@@ -304,10 +311,10 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
     root->rel_refs.resize(schema.num_relations());
     for (RelationId r = 0; r < schema.num_relations(); ++r) {
       const std::vector<store::FactId>& ids = initial.facts(r)->ids();
-      root->rel_refs[r] = treedb.SetFromKeys(ids.data(), ids.size());
+      root->rel_refs[r] = compact->treedb.SetFromKeys(ids.data(), ids.size());
     }
-    root->config_ref =
-        treedb.InternTuple(root->rel_refs.data(), root->rel_refs.size());
+    root->config_ref = compact->treedb.InternTuple(root->rel_refs.data(),
+                                                   root->rel_refs.size());
   }
   if (max_depth == 0) {
     report_memory();
@@ -326,7 +333,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
   auto equal = [](const Instance& a, const Instance& b) { return a == b; };
   size_t seen_count = 1;
   if (compact) {
-    ref_seen.Insert(root->config_ref);
+    compact->seen.Insert(root->config_ref);
   } else {
     seen.CheckAndInsert(initial.hash(), initial, equal);
   }
@@ -367,11 +374,11 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
             child->rel_refs = node->rel_refs;
             store::TreeRef set = child->rel_refs[rel];
             for (store::FactId f : t.response_ids) {
-              set = treedb.InsertSet(set, f);
+              set = compact->treedb.InsertSet(set, f);
             }
             if (set != node->rel_refs[rel]) {
               child->rel_refs[rel] = set;
-              child->config_ref = treedb.UpdateTuple(
+              child->config_ref = compact->treedb.UpdateTuple(
                   node->config_ref, child->rel_refs.size(), rel, set);
             } else {
               child->config_ref = node->config_ref;
@@ -414,7 +421,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         std::vector<std::unique_ptr<LtsNode>> next;
         for (std::unique_ptr<LtsNode>& child : children) {
           bool already =
-              compact ? !ref_seen.Insert(child->config_ref)
+              compact ? !compact->seen.Insert(child->config_ref)
                       : seen.CheckAndInsert(child->config.hash(),
                                             child->config, equal);
           if (already) {
@@ -443,8 +450,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         // independent. Flagged like the node budget — the recorded
         // tree is a prefix, never silently complete-looking.
         if (exec.max_visited_bytes != 0 && !stop) {
-          size_t used =
-              compact ? ref_seen.bytes() + treedb.bytes() : exact_bytes;
+          size_t used = compact ? compact->bytes() : exact_bytes;
           if (used > exec.max_visited_bytes) {
             s.truncated = true;
             stop = true;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/engine/cancel.h"
 #include "src/engine/compact_table.h"
 #include "src/engine/visited_table.h"
+#include "src/obs/metrics.h"
 #include "src/schema/lts.h"
 #include "src/store/treedb.h"
 #include "src/workload/workload.h"
@@ -483,6 +485,155 @@ TEST_F(VisitedModeTest, LtsStatsAreModeIndependent) {
   for (size_t i = 0; i < compact_stats.size(); ++i) {
     EXPECT_EQ(compact_stats2[i].distinct_configurations,
               compact_stats[i].distinct_configurations) << "level " << i;
+  }
+}
+
+// --- Lazy compact storage ----------------------------------------------------
+
+TEST(TreeDbTest, ClearAcrossSeveralBlocksReinternsIdentically) {
+  // Enough nodes to cross several arena blocks (block k of the node
+  // StableVector holds 4096 << k slots), then a reset: the same content
+  // re-interns to the same refs and node count in the reused blocks.
+  constexpr uint32_t kLeaves = 70000;  // 70000 nodes: arena blocks 0..4
+  auto fill = [](store::TreeDb* db, std::vector<store::TreeRef>* refs) {
+    refs->clear();
+    for (uint32_t v = 0; v < kLeaves; ++v) refs->push_back(db->InternLeaf(v));
+    std::vector<uint32_t> keys;
+    for (uint32_t k = 0; k < 5000; ++k) keys.push_back(k * 7919u);
+    refs->push_back(db->SetFromKeys(keys.data(), keys.size()));
+  };
+  store::TreeDb db;
+  std::vector<store::TreeRef> first, second;
+  fill(&db, &first);
+  size_t nodes = db.num_nodes();
+  EXPECT_GT(nodes, size_t{kLeaves});
+  db.Clear();
+  EXPECT_EQ(db.num_nodes(), 0u);
+  fill(&db, &second);
+  EXPECT_EQ(db.num_nodes(), nodes);
+  EXPECT_EQ(second, first);
+  EXPECT_TRUE(db.SetContains(second.back(), 4999u * 7919u));
+  EXPECT_FALSE(db.SetContains(second.back(), 1u));
+}
+
+// Exact mode must not touch compact storage at all: no tree nodes
+// reported and not one intern recorded.
+TEST_F(VisitedModeTest, ExactModeBuildsNoCompactStorage) {
+  obs::SetMetricsEnabled(true);
+  obs::Counter* interns =
+      obs::Registry::Get().counter("store.treedb.interns");
+  acc::AccPtr f = acc::ParseAccFormula(kDiamond, pd_.schema).value();
+  automata::AAutomaton a =
+      automata::CompileToAutomaton(f, pd_.schema).value();
+  automata::WitnessSearchOptions wopts;
+  wopts.max_path_length = 2;
+  acc::AccPtr zf = acc::ParseAccFormula(
+      "F ([IsBind_AcM1()] AND [IsBind_AcM2()])", pd_.schema).value();
+  analysis::ZeroSolverOptions zopts;
+  zopts.max_path_length = 3;
+  Rng rng(7);
+  schema::LtsOptions lopts;
+  lopts.universe = workload::MakePhoneUniverse(pd_, &rng, 8);
+  lopts.seed_values = {Value::Str("Smith")};
+
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    engine::ExecOptions exec;
+    exec.num_threads = threads;
+    uint64_t before = interns->Value();
+    automata::WitnessSearchResult w = automata::BoundedWitnessSearch(
+        a, pd_.schema, schema::Instance(pd_.schema), wopts, exec);
+    Result<analysis::ZeroSolverResult> z =
+        analysis::CheckZeroArySatisfiable(zf, pd_.schema, zopts, exec);
+    ASSERT_TRUE(z.ok());
+    schema::LtsMemoryStats memory;
+    schema::ExploreBreadthFirst(pd_.schema, schema::Instance(pd_.schema),
+                                lopts, /*max_depth=*/2,
+                                /*max_nodes=*/100000, exec, &memory);
+    EXPECT_EQ(w.treedb_nodes, 0u) << threads << " threads";
+    EXPECT_EQ(z.value().treedb_nodes, 0u) << threads << " threads";
+    EXPECT_EQ(memory.treedb_nodes, 0u) << threads << " threads";
+    EXPECT_EQ(interns->Value(), before) << threads << " threads";
+
+    // The same runs in compact mode do intern (the counter is live).
+    exec.visited_mode = engine::VisitedMode::kCompact;
+    automata::BoundedWitnessSearch(a, pd_.schema,
+                                   schema::Instance(pd_.schema), wopts, exec);
+    EXPECT_GT(interns->Value(), before) << threads << " threads";
+  }
+}
+
+// A 2-worker compact run whose 256-node pilot is cut: the reset hook
+// discards the pilot's treedb and compact table before the level
+// sweep. The verdict and the tree-node count must match the 1-worker
+// and 8-worker runs. The node count includes the pilot's pops, so it
+// must match the 8-worker run (same pilot, same sweep) and the
+// exact-mode run at 2 workers; the 1-worker pf-DFS has no pilot.
+TEST_F(VisitedModeTest, CompactPilotResetMatchesOtherWorkerCounts) {
+  struct Run {
+    bool verdict;
+    size_t nodes;
+    size_t treedb_nodes;
+  };
+  auto exec_for = [](size_t threads, engine::VisitedMode mode) {
+    engine::ExecOptions exec;
+    exec.num_threads = threads;
+    exec.visited_mode = mode;
+    return exec;
+  };
+
+  acc::AccPtr f = acc::ParseAccFormula(kDiamond, pd_.schema).value();
+  automata::AAutomaton a =
+      automata::CompileToAutomaton(f, pd_.schema).value();
+  automata::WitnessSearchOptions wopts;
+  wopts.max_path_length = 3;
+  auto witness = [&](size_t threads, engine::VisitedMode mode) {
+    automata::WitnessSearchResult r = automata::BoundedWitnessSearch(
+        a, pd_.schema, schema::Instance(pd_.schema), wopts,
+        exec_for(threads, mode));
+    return Run{r.found, r.nodes_explored, r.treedb_nodes};
+  };
+
+  // Reveal obligations over constants plus one obligation its G
+  // conjunct forbids: an unsatisfiable sweep of a few hundred nodes.
+  acc::AccPtr zf = acc::ParseAccFormula(
+      "F [Mobile_post(\"n0\",\"p\",\"s\",1)] AND "
+      "F [Mobile_post(\"n1\",\"p\",\"s\",1)] AND "
+      "F [Mobile_post(\"n2\",\"p\",\"s\",1)] AND "
+      "F [Mobile_post(\"n4\",\"p\",\"s\",1)] AND "
+      "F [Address_post(\"s\",\"p\",\"n0\",1)] AND "
+      "F [Address_post(\"s\",\"p\",\"n1\",2)] AND "
+      "F [Address_post(\"s\",\"p\",\"n2\",3)] AND "
+      "F [Mobile_post(\"n3\",\"q\",\"s\",1) AND "
+      "Address_post(\"t\",\"q\",\"n3\",1)] AND "
+      "G NOT [Address_post(\"t\",\"q\",\"n3\",1)]",
+      pd_.schema).value();
+  analysis::ZeroSolverOptions zopts;
+  zopts.max_path_length = 6;
+  auto zero = [&](size_t threads, engine::VisitedMode mode) {
+    Result<analysis::ZeroSolverResult> r = analysis::CheckZeroArySatisfiable(
+        zf, pd_.schema, zopts, exec_for(threads, mode));
+    EXPECT_TRUE(r.ok());
+    return Run{r.value().satisfiable, r.value().nodes_explored,
+               r.value().treedb_nodes};
+  };
+
+  const engine::VisitedMode kCompact = engine::VisitedMode::kCompact;
+  for (auto engine_run :
+       {std::function<Run(size_t, engine::VisitedMode)>(witness),
+        std::function<Run(size_t, engine::VisitedMode)>(zero)}) {
+    Run one = engine_run(1, kCompact);
+    Run two = engine_run(2, kCompact);
+    Run eight = engine_run(8, kCompact);
+    Run two_exact = engine_run(2, engine::VisitedMode::kExact);
+    EXPECT_FALSE(two.verdict);
+    EXPECT_GT(two.nodes, 256u);  // the pilot was cut
+    EXPECT_EQ(two.verdict, one.verdict);
+    EXPECT_EQ(two.verdict, eight.verdict);
+    EXPECT_EQ(two.nodes, eight.nodes);
+    EXPECT_EQ(two.nodes, two_exact.nodes);
+    EXPECT_GT(two.treedb_nodes, 0u);
+    EXPECT_EQ(two.treedb_nodes, one.treedb_nodes);
+    EXPECT_EQ(two.treedb_nodes, eight.treedb_nodes);
   }
 }
 

@@ -1,9 +1,14 @@
-// Tests for the interned fact-store core: value/tuple interning,
-// immutable fact sets, copy-on-write instance aliasing, configuration
-// hashing, and the visited-configuration dedup built on top of it.
+// Tests for the interned fact-store core: the block-stable payload
+// vector, value/tuple interning, immutable fact sets, copy-on-write
+// instance aliasing, configuration hashing, and the
+// visited-configuration dedup built on top of it.
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/accltl/parser.h"
@@ -15,6 +20,7 @@
 #include "src/store/fact_set.h"
 #include "src/store/fact_store.h"
 #include "src/store/match_index.h"
+#include "src/store/stable_vector.h"
 #include "src/workload/workload.h"
 
 namespace accltl {
@@ -22,6 +28,166 @@ namespace {
 
 Value S(const std::string& s) { return Value::Str(s); }
 Value I(int64_t i) { return Value::Int(i); }
+
+// --- StableVector ------------------------------------------------------------
+
+using Vec = store::StableVector<uint64_t>;
+
+uint64_t Payload(size_t i) { return store::Mix64(i) | 1; }
+
+TEST(StableVectorTest, BlockLayoutIsGeometric) {
+  // Block k holds kBlockSize << k slots, starting where block k-1 ends.
+  size_t first = 0;
+  for (size_t k = 0; k < 12; ++k) {
+    EXPECT_EQ(Vec::BlockSlots(k), Vec::kBlockSize << k);
+    EXPECT_EQ(Vec::BlockOf(first), k) << "first slot of block " << k;
+    EXPECT_EQ(Vec::BlockOf(first + Vec::BlockSlots(k) - 1), k)
+        << "last slot of block " << k;
+    first += Vec::BlockSlots(k);
+  }
+  // The inline directory covers every 32-bit id (the global store's
+  // value and fact ids), so no capacity was traded for the small
+  // directory.
+  EXPECT_GE(Vec::kCapacity, size_t{1} << 32);
+  EXPECT_LT(Vec::BlockOf(0xffffffffu), Vec::kMaxBlocks);
+}
+
+TEST(StableVectorTest, SequentialEmplaceReadsBackAtEveryBoundary) {
+  constexpr size_t kCount = (size_t{1} << 20) + 4096;
+  Vec vec;
+  for (size_t i = 0; i < kCount; ++i) vec.Emplace(i, Payload(i));
+  // First, last and next slot of every block the indices reach.
+  size_t checked_blocks = 0;
+  for (size_t first = 0, k = 0; first < kCount;
+       first += Vec::BlockSlots(k), ++k) {
+    size_t last = first + Vec::BlockSlots(k) - 1;
+    for (size_t i : {first, last, last + 1}) {
+      if (i >= kCount) continue;
+      EXPECT_EQ(vec[i], Payload(i)) << "index " << i << " block " << k;
+    }
+    ++checked_blocks;
+  }
+  EXPECT_EQ(checked_blocks, vec.blocks_allocated());
+  EXPECT_EQ(vec.blocks_allocated(), Vec::BlockOf(kCount - 1) + 1);
+  // Full sweep: growth never moved an earlier slot's contents.
+  for (size_t i = 0; i < kCount; ++i) {
+    if (vec[i] != Payload(i)) {
+      ADD_FAILURE() << "index " << i;
+      break;
+    }
+  }
+}
+
+TEST(StableVectorTest, ReferencesSurviveGrowth) {
+  store::StableVector<std::string, 4> vec;
+  vec.Emplace(0, "slot zero survives every later block allocation");
+  const std::string* zero = &vec[0];
+  for (size_t i = 1; i < 5000; ++i) vec.Emplace(i, std::to_string(i));
+  EXPECT_EQ(&vec[0], zero);
+  EXPECT_EQ(*zero, "slot zero survives every later block allocation");
+  EXPECT_EQ(vec[4999], "4999");
+}
+
+// Four writers fill interleaved disjoint index ranges; readers only
+// read ids handed to them through a mutex-guarded queue (the
+// happens-before edge the class contract requires). Clean under TSAN.
+TEST(StableVectorTest, ConcurrentWritersAndPublishedReaders) {
+  constexpr size_t kWriters = 4;
+  constexpr size_t kReaders = 2;
+  constexpr size_t kChunk = 256;
+  constexpr size_t kChunksPerWriter = 128;  // 2^17 ids: blocks 0..4
+  constexpr size_t kTotal = kWriters * kChunksPerWriter * kChunk;
+  Vec vec;
+  std::mutex mu;
+  std::deque<size_t> published;  // chunk starts
+  size_t writers_done = 0;
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t c = 0; c < kChunksPerWriter; ++c) {
+        size_t start = (c * kWriters + w) * kChunk;
+        for (size_t i = start; i < start + kChunk; ++i) {
+          vec.Emplace(i, Payload(i));
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        published.push_back(start);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      ++writers_done;
+    });
+  }
+  std::vector<size_t> read(kReaders, 0);
+  std::vector<size_t> bad(kReaders, 0);
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      for (;;) {
+        size_t start = 0;
+        bool have = false;
+        bool done = false;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!published.empty()) {
+            start = published.front();
+            published.pop_front();
+            have = true;
+          } else {
+            done = writers_done == kWriters;
+          }
+        }
+        if (!have) {
+          if (done) return;
+          std::this_thread::yield();
+          continue;
+        }
+        for (size_t i = start; i < start + kChunk; ++i) {
+          if (vec[i] != Payload(i)) ++bad[r];
+          ++read[r];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  size_t total_read = 0;
+  for (size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(bad[r], 0u) << "reader " << r;
+    total_read += read[r];
+  }
+  EXPECT_EQ(total_read, kTotal);
+  EXPECT_EQ(vec.blocks_allocated(), Vec::BlockOf(kTotal - 1) + 1);
+  for (size_t i = 0; i < kTotal; ++i) {
+    if (vec[i] != Payload(i)) {
+      ADD_FAILURE() << "index " << i;
+      break;
+    }
+  }
+}
+
+// Heap-owning payloads, so the ASan job sees a leak or a double free
+// if destruction misses a block or frees one twice.
+TEST(StableVectorTest, DestroysOneBlockOrManyBlocks) {
+  const std::string kLong(64, 'x');  // beyond the small-string buffer
+  {
+    store::StableVector<std::string, 4> only_first;
+    for (size_t i = 0; i < 10; ++i) only_first.Emplace(i, kLong);
+    EXPECT_EQ(only_first.blocks_allocated(), 1u);
+    EXPECT_EQ(only_first[9], kLong);
+  }
+  {
+    store::StableVector<std::string, 4> many;
+    constexpr size_t kCount = 16 * ((size_t{1} << 10) - 1);  // blocks 0..9
+    for (size_t i = 0; i < kCount; ++i) many.Emplace(i, kLong);
+    EXPECT_EQ(many.blocks_allocated(), 10u);
+    EXPECT_EQ(many[kCount - 1], kLong);
+  }
+  {
+    // Sparse: a block is allocated only where an index lands.
+    store::StableVector<std::string, 4> sparse;
+    sparse.Emplace(0, kLong);
+    sparse.Emplace(100000, kLong);
+    EXPECT_EQ(sparse.blocks_allocated(), 2u);
+    EXPECT_EQ(sparse[100000], kLong);
+  }
+}
 
 // --- Interning ---------------------------------------------------------------
 
