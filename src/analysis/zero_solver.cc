@@ -30,11 +30,13 @@ namespace {
 /// Zero-solver instruments (write-only; DESIGN.md §8).
 struct ZeroMetrics {
   obs::Counter* expansions;
+  obs::Counter* candidates;  // accesses the atoms were evaluated on
   obs::Counter* children;
   obs::Counter* plan_builds;
   static const ZeroMetrics& Get() {
     static const ZeroMetrics m{
         obs::Registry::Get().counter("analysis.zero.expansions"),
+        obs::Registry::Get().counter("analysis.zero.candidates"),
         obs::Registry::Get().counter("analysis.zero.children"),
         obs::Registry::Get().counter("analysis.zero.plan_builds"),
     };
@@ -49,10 +51,12 @@ struct ZeroMetrics {
 /// header exposes by forward declaration), defined only in this TU.
 struct ZeroPoolFact {
   schema::RelationId relation = 0;
-  Tuple tuple;
   /// Method forced by a constant-only IsBind atom of the disjunct
   /// (-1: any method on the relation).
   int forced_method = -1;
+  /// The tuple: ZeroPlan::pool_values[values_begin, +arity).
+  uint32_t values_begin = 0;
+  uint32_t arity = 0;
 };
 
 /// The prepared, options-independent state (see zero_solver.h). The
@@ -60,10 +64,45 @@ struct ZeroPoolFact {
 /// shared_ptr<const ZeroPlan> and never see the members.
 class ZeroPlan {
  public:
-  acc::Abstraction abstraction;
+  /// One tableau edge; its literals are lits[lits_begin, +num_pos)
+  /// (must hold) then [.., +num_neg) (must not hold).
+  struct Edge {
+    int to = 0;
+    bool may_end = false;
+    uint32_t lits_begin = 0;
+    uint32_t num_pos = 0;
+    uint32_t num_neg = 0;
+  };
+
+  /// The abstraction's atoms (proposition id i ↔ atoms[i]). Each run
+  /// compiles them once (ZeroSolver::atoms_) rather than the plan: a
+  /// prepared query keeps its plan for life, and the compiled programs
+  /// (about 0.5 KB per plan) outweigh a compile per run.
+  std::vector<logic::PosFormulaPtr> atoms;
+  /// The canonical-witness pool. Its values are interned at plan time
+  /// (a few shared fresh values and the formula's constants); its facts
+  /// are interned only when a search first uses them (ZeroSolver::PoolId).
   std::vector<ZeroPoolFact> pool;
-  ltl::TableauAutomaton tableau;
-  std::vector<std::vector<int>> edges_by_state;
+  std::vector<store::ValueId> pool_values;
+
+  /// Value `pos` of pool fact `i`.
+  const Value& PoolValue(size_t i, size_t pos) const {
+    return store::Store::Get().value(pool_values[pool[i].values_begin + pos]);
+  }
+  Tuple PoolTuple(size_t i) const {
+    Tuple t;
+    t.reserve(pool[i].arity);
+    for (size_t pos = 0; pos < pool[i].arity; ++pos) {
+      t.push_back(PoolValue(i, pos));
+    }
+    return t;
+  }
+  /// The skeleton's tableau, flattened: the edges leaving state s are
+  /// edges[state_edges[s], state_edges[s + 1]).
+  int initial_state = 0;
+  std::vector<uint32_t> state_edges;
+  std::vector<Edge> edges;
+  std::vector<int> lits;
   /// True when the fusion-quotient enumeration (see BuildPool) was cut
   /// by a cap: the pool may be missing fused witnesses, so an
   /// unsatisfiable sweep must report exhausted_budget (kUnknown), never
@@ -80,7 +119,13 @@ using schema::RelationId;
 using PathLink = engine::PathLink<schema::AccessStep>;
 using engine::CmpPathKeys;
 
-using PoolFact = ZeroPoolFact;
+/// A pool fact while the pool is built (ZeroPoolFact is its compact,
+/// plan-resident form).
+struct PoolFact {
+  RelationId relation = 0;
+  Tuple tuple;
+  int forced_method = -1;
+};
 
 /// One frontier node of the engine-based search. The node's
 /// configuration is a pure function of `facts` (the empty initial
@@ -353,6 +398,15 @@ class ZeroSolver {
     if (exec.visited_mode == engine::VisitedMode::kCompact) {
       compact_.emplace(64);
     }
+    atoms_.reserve(plan.atoms.size());
+    for (const logic::PosFormulaPtr& atom : plan.atoms) {
+      atoms_.emplace_back(atom);
+    }
+    pool_ids_ = std::make_unique<std::atomic<store::FactId>[]>(
+        plan.pool.size());
+    for (size_t i = 0; i < plan.pool.size(); ++i) {
+      pool_ids_[i].store(store::kNoFactId, std::memory_order_relaxed);
+    }
   }
 
   Result<ZeroSolverResult> Run() {
@@ -364,17 +418,25 @@ class ZeroSolver {
   }
 
  private:
-  /// Evaluates all atoms on a transition; returns the set of true
-  /// proposition ids.
-  std::set<int> TrueAtoms(const schema::Transition& t) const {
-    std::set<int> out;
-    logic::TransitionView view(t);
-    for (size_t i = 0; i < plan_.abstraction.atoms.size(); ++i) {
-      if (logic::EvalSentence(plan_.abstraction.atoms[i], view)) {
-        out.insert(static_cast<int>(i));
-      }
+  /// The letter of a candidate access: the truth of every atom, by id.
+  std::vector<char> Letter(const logic::StructureView& view) const {
+    std::vector<char> letter(atoms_.size());
+    for (size_t i = 0; i < atoms_.size(); ++i) {
+      letter[i] = atoms_[i].Eval(view) ? 1 : 0;
     }
-    return out;
+    return letter;
+  }
+
+  /// The interned id of pool fact `i`, resolved on first use in this
+  /// run. Plans intern only their pool's values: most plans' pools are
+  /// never searched in full, and the store never frees.
+  store::FactId PoolId(size_t i) {
+    store::FactId id = pool_ids_[i].load(std::memory_order_relaxed);
+    if (id == store::kNoFactId) {
+      id = store::Store::Get().InternTuple(plan_.PoolTuple(i));
+      pool_ids_[i].store(id, std::memory_order_relaxed);
+    }
+    return id;
   }
 
   // --- Engine plumbing (mirrors automata::BoundedWitnessSearch) -------------
@@ -441,7 +503,7 @@ class ZeroSolver {
   std::vector<std::unique_ptr<ZeroNode>> MakeRoots() {
     auto root = std::make_unique<ZeroNode>();
     root->facts = 0;
-    root->tableau = {plan_.tableau.initial};
+    root->tableau = {plan_.initial_state};
     root->config = schema::Instance(schema_);
     root->depth = 0;
     if (compact_) root->ref = NodeRef(root->facts, root->tableau);
@@ -635,20 +697,19 @@ class ZeroSolver {
     }
     if (node->depth >= options_.max_path_length) return;
     std::vector<Child> children = Expand(*node);
-    ZeroMetrics::Get().expansions->Inc();
-    ZeroMetrics::Get().children->Inc(children.size());
     // pf order: smallest child pops first. Equal keys cannot occur
     // within one node (each enumerated subset yields a distinct step).
-    std::sort(children.begin(), children.end(),
-              [](const Child& a, const Child& b) {
-                return a.key.compare(b.key) < 0;
-              });
+    std::vector<uint32_t> order(children.size());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return children[a].key.compare(children[b].key) < 0;
+    });
     // Register in ascending key order, push in descending order so the
     // owner's LIFO pops the smallest survivor first.
     std::vector<std::unique_ptr<ZeroNode>> survivors;
     survivors.reserve(children.size());
-    for (Child& child : children) {
-      std::unique_ptr<ZeroNode> next = MakeNode(*node, child);
+    for (uint32_t i : order) {
+      std::unique_ptr<ZeroNode> next = MakeNode(*node, children[i]);
       if (best_.Prunes(next->links)) continue;
       // Accepting nodes have no subtree and are never registered:
       // acceptance is edge-local, so a non-accepting twin must not
@@ -679,8 +740,6 @@ class ZeroSolver {
     }
     if (node->depth >= options_.max_path_length) return;
     std::vector<Child> children = Expand(*node);
-    ZeroMetrics::Get().expansions->Inc();
-    ZeroMetrics::Get().children->Inc(children.size());
     for (Child& child : children) {
       ctx.Emit(MakeNode(*node, child));
     }
@@ -726,14 +785,21 @@ class ZeroSolver {
   /// silently capped at the first 12 candidates).
   std::vector<Child> Expand(const ZeroNode& node) {
     std::vector<Child> children;
+    size_t candidates = 0;
+    Generate(node, &children, &candidates);
+    const ZeroMetrics& metrics = ZeroMetrics::Get();
+    metrics.expansions->Inc();
+    metrics.candidates->Inc(candidates);
+    metrics.children->Inc(children.size());
+    return children;
+  }
+
+  void Generate(const ZeroNode& node, std::vector<Child>* children,
+                size_t* candidates_out) {
     // The active domain is stable across this node's enumeration;
     // compute it once, on first need (it is only consulted for
     // synthesized bindings and grounded checks).
-    std::optional<std::set<Value>> dom;
-    auto domain = [&]() -> const std::set<Value>& {
-      if (!dom.has_value()) dom = node.config.ActiveDomain();
-      return *dom;
-    };
+    schema::LazyActiveDomain domain(node.config);
 
     for (AccessMethodId m = 0; m < schema_.num_access_methods(); ++m) {
       const schema::AccessMethod& am = schema_.method(m);
@@ -755,7 +821,7 @@ class ZeroSolver {
       for (size_t i : candidates) {
         Tuple b;
         for (schema::Position p : am.input_positions) {
-          b.push_back(plan_.pool[i].tuple[static_cast<size_t>(p)]);
+          b.push_back(plan_.PoolValue(i, static_cast<size_t>(p)));
         }
         groups[std::move(b)].push_back(i);
       }
@@ -772,7 +838,7 @@ class ZeroSolver {
         for (schema::Position p : am.input_positions) {
           ValueType type = rel.position_types[static_cast<size_t>(p)];
           std::optional<Value> v;
-          for (const Value& cand : domain()) {
+          for (const Value& cand : domain.get()) {
             if (cand.type() == type) {
               v = cand;
               break;
@@ -792,7 +858,9 @@ class ZeroSolver {
           }
           b.push_back(*v);
         }
-        if (bind_ok) TryChild(node, m, std::move(b), {}, &children);
+        if (bind_ok) {
+          TryChild(node, m, std::move(b), {}, children, candidates_out);
+        }
       }
       // Non-empty responses: combinations of 1..max_facts_per_step
       // facts within each binding group, counted against the cap (the
@@ -810,7 +878,7 @@ class ZeroSolver {
         if (options_.grounded) {
           bool ok = true;
           for (const Value& v : binding) {
-            if (domain().count(v) == 0) {
+            if (domain.get().count(v) == 0) {
               ok = false;
               break;
             }
@@ -830,7 +898,7 @@ class ZeroSolver {
             std::vector<size_t> chosen;
             chosen.reserve(k);
             for (size_t i : idx) chosen.push_back(members[i]);
-            TryChild(node, m, binding, chosen, &children);
+            TryChild(node, m, binding, chosen, children, candidates_out);
             // Advance the combination.
             size_t pos = k;
             while (pos > 0 && idx[pos - 1] == n - (k - pos) - 1) --pos;
@@ -842,23 +910,21 @@ class ZeroSolver {
       }
       if (capped) truncated_.store(true, std::memory_order_relaxed);
     }
-    return children;
   }
 
-  /// Builds the transition for one (method, binding, pool-fact subset)
-  /// candidate, applies the idempotence filter, advances the tableau,
-  /// and collects a child when some run survives.
+  /// Decides one (method, binding, pool-fact subset) candidate: the
+  /// idempotence filter, then the letter on the pre+response view
+  /// (logic::CandidateView) and the tableau step. Only a surviving
+  /// candidate gets its post-instance built.
   void TryChild(const ZeroNode& node, AccessMethodId m, Tuple binding,
                 const std::vector<size_t>& chosen,
-                std::vector<Child>* children) {
-    schema::Response response;
+                std::vector<Child>* children, size_t* candidates) {
     uint64_t new_facts = node.facts;
-    for (size_t i : chosen) {
-      response.insert(plan_.pool[i].tuple);
-      new_facts |= uint64_t{1} << i;
-    }
+    for (size_t i : chosen) new_facts |= uint64_t{1} << i;
+    schema::Access access{m, std::move(binding)};
     if (options_.require_idempotent) {
-      schema::Access access{m, binding};
+      schema::Response response;
+      for (size_t i : chosen) response.insert(plan_.PoolTuple(i));
       for (const PathLink* link : node.links) {
         if (link->step.access == access &&
             link->step.response != response) {
@@ -866,32 +932,34 @@ class ZeroSolver {
         }
       }
     }
-    schema::Transition t = schema::MakeTransition(
-        schema_, node.config, schema::Access{m, std::move(binding)},
-        response);
+    // Resolve in tuple order, the order a response set interns in, so
+    // fact ids (hence compact-mode trie shapes) match the tuple path.
+    std::vector<size_t> in_order = chosen;
+    if (in_order.size() > 1) {
+      std::sort(in_order.begin(), in_order.end(), [&](size_t a, size_t b) {
+        return plan_.PoolTuple(a) < plan_.PoolTuple(b);
+      });
+    }
+    std::vector<store::FactId> response_ids;
+    response_ids.reserve(in_order.size());
+    for (size_t i : in_order) response_ids.push_back(PoolId(i));
+    ++*candidates;
 
     // Advance the tableau over this letter.
-    std::set<int> letter = TrueAtoms(t);
+    std::vector<char> letter =
+        Letter(logic::CandidateView(schema_, node.config, access,
+                                    response_ids));
     std::set<int> next_states;
     bool may_end = false;
     for (int s : node.tableau) {
-      for (int ei : plan_.edges_by_state[static_cast<size_t>(s)]) {
-        const ltl::TableauEdge& e =
-            plan_.tableau.edges[static_cast<size_t>(ei)];
+      for (uint32_t ei = plan_.state_edges[static_cast<size_t>(s)];
+           ei < plan_.state_edges[static_cast<size_t>(s) + 1]; ++ei) {
+        const ZeroPlan::Edge& e = plan_.edges[ei];
+        const int* lit = &plan_.lits[e.lits_begin];
         bool match = true;
-        for (int p : e.pos_lits) {
-          if (letter.count(p) == 0) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          for (int p : e.neg_lits) {
-            if (letter.count(p) > 0) {
-              match = false;
-              break;
-            }
-          }
+        for (uint32_t i = 0; i < e.num_pos + e.num_neg && match; ++i) {
+          bool holds = letter[static_cast<size_t>(lit[i])] != 0;
+          match = holds == (i < e.num_pos);
         }
         if (!match) continue;
         next_states.insert(e.to);
@@ -899,6 +967,8 @@ class ZeroSolver {
       }
     }
     if (next_states.empty() && !may_end) return;
+    schema::Transition t = schema::MakeTransitionFromIds(
+        schema_, node.config, std::move(access), response_ids);
     Child child;
     child.facts = new_facts;
     child.tableau.assign(next_states.begin(), next_states.end());
@@ -918,6 +988,11 @@ class ZeroSolver {
   engine::ShardedVisitedTable<VisitedEntry> visited_{64};
   engine::BestPathTracker<schema::AccessStep> best_;
   std::atomic<bool> truncated_{false};
+  /// PoolId's per-run memo (kNoFactId: not yet resolved). Racing
+  /// workers resolve the same tuple to the same id.
+  std::unique_ptr<std::atomic<store::FactId>[]> pool_ids_;
+  /// The plan's atoms, compiled for this run.
+  std::vector<logic::CompiledFormula> atoms_;
 
   /// Compact-mode storage (see engine/cancel.h VisitedMode), engaged
   /// only under kCompact, and the byte accounting shared by both modes.
@@ -933,31 +1008,64 @@ Result<std::shared_ptr<const ZeroPlan>> PrepareZeroAry(
   obs::Span span("prepare-zero");
   ZeroMetrics::Get().plan_builds->Inc();
   auto plan = std::make_shared<ZeroPlan>();
-  plan->abstraction = acc::Abstract(formula);
+  acc::Abstraction abstraction = acc::Abstract(formula);
   // 1. Reject formulas outside the (constant-extended) 0-ary fragment.
-  for (const logic::PosFormulaPtr& atom : plan->abstraction.atoms) {
+  for (const logic::PosFormulaPtr& atom : abstraction.atoms) {
     Status s = CheckZeroAry(atom);
     if (!s.ok()) return s;
   }
+  plan->atoms = abstraction.atoms;
   // 2. Build the canonical-witness pool (all-fresh canonical databases
   // plus capped fusion quotients).
-  ACCLTL_RETURN_IF_ERROR(BuildPool(plan->abstraction, schema, &plan->pool,
-                                   &plan->pool_fusion_truncated));
-  if (plan->pool.size() > 63) {
+  std::vector<PoolFact> pool;
+  ACCLTL_RETURN_IF_ERROR(
+      BuildPool(abstraction, schema, &pool, &plan->pool_fusion_truncated));
+  if (pool.size() > 63) {
     return Status::ResourceExhausted(
         "witness pool exceeds 63 facts; split the formula");
   }
-  // 3. Build the LTL tableau for the skeleton.
-  Result<ltl::TableauAutomaton> tableau =
-      ltl::BuildTableau(plan->abstraction.skeleton, 1u << 18);
-  if (!tableau.ok()) return tableau.status();
-  plan->tableau = std::move(tableau.value());
-  plan->edges_by_state.assign(
-      static_cast<size_t>(plan->tableau.num_states), {});
-  for (size_t i = 0; i < plan->tableau.edges.size(); ++i) {
-    plan->edges_by_state[static_cast<size_t>(plan->tableau.edges[i].from)]
-        .push_back(static_cast<int>(i));
+  plan->pool.reserve(pool.size());
+  for (const PoolFact& f : pool) {
+    ZeroPoolFact compact;
+    compact.relation = f.relation;
+    compact.forced_method = f.forced_method;
+    compact.values_begin = static_cast<uint32_t>(plan->pool_values.size());
+    compact.arity = static_cast<uint32_t>(f.tuple.size());
+    for (const Value& v : f.tuple) {
+      plan->pool_values.push_back(store::Store::Get().InternValue(v));
+    }
+    plan->pool.push_back(compact);
   }
+  // 3. Build the LTL tableau for the skeleton, flattened by source
+  // state (edge order within a state is kept).
+  Result<ltl::TableauAutomaton> tableau =
+      ltl::BuildTableau(abstraction.skeleton, 1u << 18);
+  if (!tableau.ok()) return tableau.status();
+  const ltl::TableauAutomaton& ta = tableau.value();
+  plan->initial_state = ta.initial;
+  plan->state_edges.assign(static_cast<size_t>(ta.num_states) + 1, 0);
+  for (const ltl::TableauEdge& e : ta.edges) {
+    ++plan->state_edges[static_cast<size_t>(e.from) + 1];
+  }
+  for (size_t st = 1; st < plan->state_edges.size(); ++st) {
+    plan->state_edges[st] += plan->state_edges[st - 1];
+  }
+  plan->edges.resize(ta.edges.size());
+  std::vector<uint32_t> next(plan->state_edges.begin(),
+                             plan->state_edges.end() - 1);
+  for (const ltl::TableauEdge& e : ta.edges) {
+    ZeroPlan::Edge& flat = plan->edges[next[static_cast<size_t>(e.from)]++];
+    flat.to = e.to;
+    flat.may_end = e.may_end;
+    flat.lits_begin = static_cast<uint32_t>(plan->lits.size());
+    flat.num_pos = static_cast<uint32_t>(e.pos_lits.size());
+    flat.num_neg = static_cast<uint32_t>(e.neg_lits.size());
+    plan->lits.insert(plan->lits.end(), e.pos_lits.begin(), e.pos_lits.end());
+    plan->lits.insert(plan->lits.end(), e.neg_lits.begin(), e.neg_lits.end());
+  }
+  // Plans are cached and prepared queries hold them for life.
+  plan->pool_values.shrink_to_fit();
+  plan->lits.shrink_to_fit();
   return std::shared_ptr<const ZeroPlan>(std::move(plan));
 }
 

@@ -1,5 +1,7 @@
 #include "src/automata/a_automaton.h"
 
+#include <memory>
+
 #include "src/accltl/semantics.h"
 #include "src/common/strings.h"
 #include "src/logic/eval.h"
@@ -7,26 +9,50 @@
 namespace accltl {
 namespace automata {
 
+Guard::~Guard() { delete compiled_.load(std::memory_order_relaxed); }
+
+const Guard::Compiled& Guard::compiled() const {
+  const Compiled* c = compiled_.load(std::memory_order_acquire);
+  if (c != nullptr) return *c;
+  auto built = std::make_unique<Compiled>();
+  if (positive != nullptr && positive->kind() != logic::NodeKind::kTrue) {
+    bool conjuncts = positive->kind() == logic::NodeKind::kAnd;
+    for (const logic::PosFormulaPtr& part : positive->children()) {
+      conjuncts = conjuncts && part->IsSentence();
+    }
+    if (conjuncts) {
+      for (const logic::PosFormulaPtr& part : positive->children()) {
+        built->positive.emplace_back(part);
+      }
+    } else {
+      built->positive.emplace_back(positive);
+    }
+  }
+  for (const logic::PosFormulaPtr& gamma : negated) {
+    built->negated.emplace_back(gamma);
+  }
+  if (compiled_.compare_exchange_strong(c, built.get(),
+                                        std::memory_order_acq_rel)) {
+    return *built.release();
+  }
+  return *c;  // another thread won the race
+}
+
 bool Guard::Eval(const schema::Transition& t) const {
   logic::TransitionView view(t);
   return Eval(view);
 }
 
 bool Guard::Eval(const logic::StructureView& view) const {
-  if (positive != nullptr && !logic::EvalSentence(positive, view)) {
-    return false;
+  for (const logic::CompiledFormula& part : compiled().positive) {
+    if (!part.Eval(view)) return false;
   }
-  for (const logic::PosFormulaPtr& gamma : negated) {
-    if (logic::EvalSentence(gamma, view)) return false;
-  }
-  return true;
+  return EvalNegated(view);
 }
 
-bool Guard::EvalNegated(const schema::Transition& t) const {
-  if (negated.empty()) return true;
-  logic::TransitionView view(t);
-  for (const logic::PosFormulaPtr& gamma : negated) {
-    if (logic::EvalSentence(gamma, view)) return false;
+bool Guard::EvalNegated(const logic::StructureView& view) const {
+  for (const logic::CompiledFormula& gamma : compiled().negated) {
+    if (gamma.Eval(view)) return false;
   }
   return true;
 }

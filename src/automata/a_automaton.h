@@ -1,11 +1,13 @@
 #ifndef ACCLTL_AUTOMATA_A_AUTOMATON_H_
 #define ACCLTL_AUTOMATA_A_AUTOMATON_H_
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/logic/eval.h"
 #include "src/logic/formula.h"
 #include "src/logic/structure.h"
 #include "src/schema/access.h"
@@ -17,11 +19,31 @@ namespace automata {
 /// A transition guard ψ− ∧ ψ+ (Def. 4.3): ψ+ is an FO∃+ sentence over
 /// SchAcc (may mention IsBind); ψ− is a conjunction of negated FO∃+
 /// sentences that must not mention IsBind.
+///
+/// The first evaluation compiles both parts (logic::CompiledFormula)
+/// and later evaluations reuse them, so the formula fields must not
+/// change once the guard has been evaluated. Compiling lazily keeps the
+/// many guards a search never reaches free. A copy starts uncompiled.
 struct Guard {
   /// ψ+ (TRUE when absent).
   logic::PosFormulaPtr positive;
   /// The γ of each ¬γ conjunct of ψ−.
   std::vector<logic::PosFormulaPtr> negated;
+
+  Guard() = default;
+  Guard(const Guard& other)
+      : positive(other.positive), negated(other.negated) {}
+  Guard(Guard&& other) noexcept
+      : positive(std::move(other.positive)),
+        negated(std::move(other.negated)),
+        compiled_(other.compiled_.exchange(nullptr)) {}
+  Guard& operator=(Guard other) noexcept {
+    positive = std::move(other.positive);
+    negated = std::move(other.negated);
+    delete compiled_.exchange(other.compiled_.exchange(nullptr));
+    return *this;
+  }
+  ~Guard();
 
   /// Evaluates the guard on the transition structure M(t).
   bool Eval(const schema::Transition& t) const;
@@ -29,15 +51,29 @@ struct Guard {
   /// Evaluates the guard against an arbitrary structure view — e.g. a
   /// logic::IndexedTransitionView, which answers bound-position atom
   /// probes through a MatchIndexCache instead of scanning (the online
-  /// monitor's per-step path).
+  /// monitor's per-step path), or a logic::CandidateView (the search
+  /// engines' guard-first child test).
   bool Eval(const logic::StructureView& view) const;
 
   /// Evaluates only the ψ− part (every ¬γ conjunct). For callers that
-  /// constructed `t` to satisfy ψ+ (e.g. realization enumeration),
-  /// re-evaluating the positive join is pure waste.
-  bool EvalNegated(const schema::Transition& t) const;
+  /// constructed the access to satisfy ψ+ (e.g. realization
+  /// enumeration), re-evaluating the positive join is pure waste.
+  bool EvalNegated(const logic::StructureView& view) const;
 
   std::string ToString(const schema::Schema& schema) const;
+
+ private:
+  /// ψ+ as sentences that must all hold (its conjuncts when it is a
+  /// conjunction of sentences), and each γ of ψ−.
+  struct Compiled {
+    std::vector<logic::CompiledFormula> positive;
+    std::vector<logic::CompiledFormula> negated;
+  };
+  /// The compiled parts, built on first use (racing first evaluations
+  /// keep one build and discard the other).
+  const Compiled& compiled() const;
+
+  mutable std::atomic<const Compiled*> compiled_{nullptr};
 };
 
 struct ATransition {

@@ -33,12 +33,14 @@ namespace {
 /// Witness-engine instruments (write-only; DESIGN.md §8).
 struct WitnessMetrics {
   obs::Counter* expansions;
+  obs::Counter* candidates;  // accesses the guard was evaluated on
   obs::Counter* children;
   obs::Counter* plan_builds;
   obs::Histogram* reduce_us;  // per level-sweep barrier reduction
   static const WitnessMetrics& Get() {
     static const WitnessMetrics m{
         obs::Registry::Get().counter("automata.expansions"),
+        obs::Registry::Get().counter("automata.candidates"),
         obs::Registry::Get().counter("automata.children"),
         obs::Registry::Get().counter("automata.plan_builds"),
         obs::Registry::Get().histogram("automata.search.reduce_us"),
@@ -72,12 +74,14 @@ class RealizationEnumerator {
   RealizationEnumerator(const schema::Schema& schema, const Instance& current,
                         const WitnessSearchOptions& options,
                         int64_t fresh_base,
-                        store::MatchIndexCache::LocalView* index)
+                        store::MatchIndexCache::LocalView* index,
+                        schema::LazyActiveDomain* domain)
       : schema_(schema),
         current_(current),
         options_(options),
         base_factory_(logic::FreshValueFactory::StartingAt(fresh_base)),
-        index_(index) {}
+        index_(index),
+        domain_(domain) {}
 
   /// True when max_realizations_per_step cut the enumeration short:
   /// a non-exhaustive step means the overall search may be incomplete.
@@ -362,7 +366,7 @@ class RealizationEnumerator {
           ValueType type = rel.position_types[static_cast<size_t>(p)];
           std::optional<Value> v;
           if (options_.grounded) {
-            for (const Value& cand : current_.ActiveDomain()) {
+            for (const Value& cand : domain_->get()) {
               if (cand.type() == type) {
                 v = cand;
                 break;
@@ -379,7 +383,7 @@ class RealizationEnumerator {
         }
       }
       if (options_.grounded) {
-        std::set<Value> dom = current_.ActiveDomain();
+        const std::set<Value>& dom = domain_->get();
         for (const Value& v : r.binding) {
           if (dom.count(v) == 0) {
             restore();
@@ -428,6 +432,7 @@ class RealizationEnumerator {
   const WitnessSearchOptions& options_;
   logic::FreshValueFactory base_factory_;
   store::MatchIndexCache::LocalView* index_;
+  schema::LazyActiveDomain* domain_;
   size_t emitted_ = 0;
   bool truncated_ = false;
 };
@@ -889,23 +894,24 @@ class Search {
     }
     if (node->depth >= options_.max_path_length) return;
     std::vector<Child> children = Expand(*node, ctx);
-    WitnessMetrics::Get().expansions->Inc();
-    WitnessMetrics::Get().children->Inc(children.size());
     // pf order: smallest child pops first. Content ties (the same
     // access step can drive a nondeterministic automaton into several
     // states) resolve accepting states first, so the first accept a
     // serial run sees is the content-minimal accepting *path*, not an
     // artifact of state numbering — the same witness the
     // level-synchronous reduction selects.
-    std::sort(children.begin(), children.end(),
-              [this](const Child& a, const Child& b) {
-                int c = a.key.compare(b.key);
-                if (c != 0) return c < 0;
-                bool aa = automaton_.IsAccepting(a.to_state);
-                bool ba = automaton_.IsAccepting(b.to_state);
-                if (aa != ba) return aa;
-                return a.to_state < b.to_state;
-              });
+    std::vector<uint32_t> order(children.size());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](uint32_t ia, uint32_t ib) {
+      const Child& a = children[ia];
+      const Child& b = children[ib];
+      int c = a.key.compare(b.key);
+      if (c != 0) return c < 0;
+      bool aa = automaton_.IsAccepting(a.to_state);
+      bool ba = automaton_.IsAccepting(b.to_state);
+      if (aa != ba) return aa;
+      return a.to_state < b.to_state;
+    });
     // Register in ascending key order (a same-batch twin with the
     // larger path is then dominated outright, never registered-then-
     // evicted while already queued — there is no pop-time re-check),
@@ -913,8 +919,8 @@ class Search {
     // smallest survivor first.
     std::vector<std::unique_ptr<SearchNode>> survivors;
     survivors.reserve(children.size());
-    for (Child& child : children) {
-      std::unique_ptr<SearchNode> next = MakeNode(*node, child);
+    for (uint32_t i : order) {
+      std::unique_ptr<SearchNode> next = MakeNode(*node, children[i]);
       if (PrunedByBest(*next)) continue;  // see ReduceLevel: prune first
       if (options_.use_visited_dedup && !RegisterNode(*next)) continue;
       survivors.push_back(std::move(next));
@@ -936,8 +942,6 @@ class Search {
     if (AcceptHere(*node)) return;
     if (node->depth >= options_.max_path_length) return;
     std::vector<Child> children = Expand(*node, ctx);
-    WitnessMetrics::Get().expansions->Inc();
-    WitnessMetrics::Get().children->Inc(children.size());
     for (Child& child : children) {
       ctx.Emit(MakeNode(*node, child));
     }
@@ -1100,28 +1104,42 @@ class Search {
     return next;
   }
 
+  /// The node's children, in generation order; records the expansion.
   std::vector<Child> Expand(const SearchNode& node,
                             engine::Explorer<SearchNode>::Context& ctx) {
-    store::MatchIndexCache::LocalView& view = local_views_[ctx.worker_id()];
     std::vector<Child> children;
+    size_t candidates = 0;
+    Generate(node, ctx, &children, &candidates);
+    const WitnessMetrics& metrics = WitnessMetrics::Get();
+    metrics.expansions->Inc();
+    metrics.candidates->Inc(candidates);
+    metrics.children->Inc(children.size());
+    return children;
+  }
+
+  void Generate(const SearchNode& node,
+                engine::Explorer<SearchNode>::Context& ctx,
+                std::vector<Child>* children, size_t* candidates) {
+    store::MatchIndexCache::LocalView& view = local_views_[ctx.worker_id()];
+    schema::LazyActiveDomain domain(node.config);
     for (size_t ti = 0; ti < automaton_.transitions().size(); ++ti) {
       const ATransition& at = automaton_.transitions()[ti];
       if (at.from != node.state) continue;
       RealizationEnumerator en(schema_, node.config, options_,
-                               node.fresh_base, &view);
+                               node.fresh_base, &view, &domain);
       for (const logic::Cq& disjunct : plan_->guards[ti].disjuncts) {
         en.ForEach(disjunct, [&](const Realization& r) -> bool {
           // The enumerator constructed this access to satisfy the
           // disjunct (hence ψ+); only ψ− needs checking.
           TryChild(at, schema::Access{r.method, r.binding}, r.new_fact_ids,
                    node,
-                   /*positive_known=*/true, &children);
+                   /*positive_known=*/true, children, candidates);
           return ctx.aborted();
         });
         if (en.truncated()) {
           realization_truncated_.store(true, std::memory_order_relaxed);
         }
-        if (ctx.aborted()) return children;
+        if (ctx.aborted()) return;
       }
       // Speculative pool injection: reveal one canonical fact through
       // this transition (useful when the guard is permissive and a
@@ -1136,7 +1154,7 @@ class Search {
             binding.push_back(tuple[static_cast<size_t>(p)]);
           }
           if (options_.grounded) {
-            std::set<Value> dom = node.config.ActiveDomain();
+            const std::set<Value>& dom = domain.get();
             bool ok = true;
             for (const Value& v : binding) {
               if (dom.count(v) == 0) {
@@ -1148,22 +1166,22 @@ class Search {
           }
           TryChild(at, schema::Access{m, binding}, {fact}, node,
                    /*positive_known=*/plan_->trivially_positive[ti],
-                   &children);
-          if (ctx.aborted()) return children;
+                   children, candidates);
+          if (ctx.aborted()) return;
         }
       }
     }
-    return children;
   }
 
-  /// Evaluates the full guard on the concrete transition; collects a
-  /// child when it holds. `positive_known` skips the ψ+ re-evaluation
-  /// for accesses built from a realization of a positive-guard
-  /// disjunct.
+  /// Guard first, post later: decides the candidate access on its
+  /// pre+response view (logic::CandidateView) and builds the
+  /// post-instance only when the guard holds. `positive_known` skips
+  /// the ψ+ evaluation for accesses built from a realization of a
+  /// positive-guard disjunct.
   void TryChild(const ATransition& at, schema::Access access,
                 const std::vector<store::FactId>& response_ids,
                 const SearchNode& node, bool positive_known,
-                std::vector<Child>* children) {
+                std::vector<Child>* children, size_t* candidates) {
     // Result-bounded method: a response larger than the bound is not a
     // behaviour of the access interface, whichever path proposed it
     // (guard realization or speculative pool injection). Bound 0
@@ -1173,11 +1191,16 @@ class Search {
         response_ids.size() > static_cast<size_t>(am.result_bound)) {
       return;
     }
+    ++*candidates;
+    {
+      logic::CandidateView view(schema_, node.config, access, response_ids);
+      if (positive_known ? !at.guard.EvalNegated(view)
+                         : !at.guard.Eval(view)) {
+        return;
+      }
+    }
     schema::Transition t = schema::MakeTransitionFromIds(
         schema_, node.config, std::move(access), response_ids);
-    if (positive_known ? !at.guard.EvalNegated(t) : !at.guard.Eval(t)) {
-      return;
-    }
     Child child;
     child.to_state = at.to;
     child.post = std::move(t.post);

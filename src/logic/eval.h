@@ -2,6 +2,7 @@
 #define ACCLTL_LOGIC_EVAL_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,15 +16,56 @@ namespace logic {
 /// A partial assignment of values to variables.
 using Env = std::map<std::string, Value>;
 
-/// Evaluates a sentence (closed formula) of FO∃+(≠) against a structure.
+/// An FO∃+(≠) formula compiled once for repeated evaluation.
 ///
-/// Evaluation is a backtracking join: atoms bind variables by iterating
-/// the view's tuples; equalities propagate or test bindings;
-/// inequalities test. Conjunctions are dynamically reordered so that a
-/// conjunct runs only once it is "ready" (an atom is always ready; an
-/// (in)equality once enough of its sides are bound). Formulas whose
-/// every variable is guarded by an atom — all formulas in this library —
-/// never get stuck.
+/// Compilation maps every variable to a dense slot (each quantifier
+/// gets its own slots, so shadowing is resolved statically), fixes the
+/// order of every conjunction, and decides for each atom position
+/// whether it checks an already-bound value or binds a fresh one.
+/// Evaluation is then a backtracking join over slots holding
+/// store::ValueIds: fact-id ranges compare through
+/// Store::fact_values without decoding a tuple, and a view's
+/// FactIdIndex serves the first bound position of an atom.
+///
+/// Conjunction order: an equality runs as soon as one side is bound,
+/// an inequality as soon as both are; other conjuncts keep their
+/// written order. Formulas whose every variable is guarded by an atom —
+/// all formulas in this library — never meet an unguarded equality (it
+/// evaluates to false).
+///
+/// Evaluation never interns. Values the store has not seen (constants,
+/// binding values, canonical-database values) get local ids private
+/// to one evaluation, so two occurrences of the same unseen value still
+/// compare equal. A compiled formula is immutable and safe to evaluate
+/// from several threads at once; copies share the program.
+class CompiledFormula {
+ public:
+  /// The formula TRUE.
+  CompiledFormula();
+  /// `params`: free variables the caller binds at each evaluation, in
+  /// this order; any other free variable starts unbound.
+  explicit CompiledFormula(const PosFormulaPtr& f,
+                           const std::vector<std::string>& params = {});
+
+  /// Truth on `view`, with `args` bound to the params (same order).
+  bool Eval(const StructureView& view,
+            const std::vector<Value>& args = {}) const;
+
+  /// All assignments of the free variables `head` that satisfy the
+  /// formula; assignments leaving a head variable unbound are skipped.
+  std::set<Tuple> Answers(const StructureView& view,
+                          const std::vector<std::string>& head) const;
+
+  /// The compiled program (defined in eval.cc).
+  struct Program;
+
+ private:
+  std::shared_ptr<const Program> program_;
+};
+
+/// Evaluates a sentence (closed formula) of FO∃+(≠) against a structure.
+/// Compiles per call; callers evaluating one formula many times hold a
+/// CompiledFormula instead.
 bool EvalSentence(const PosFormulaPtr& f, const StructureView& view);
 
 /// Evaluates a formula with free variables pre-bound by `env`.

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/value.h"
 #include "src/logic/predicate.h"
@@ -70,9 +71,7 @@ class InstanceView : public StructureView {
 /// Also serves as M′(t) for the 0-ary vocabulary via MethodUsed.
 class TransitionView : public StructureView {
  public:
-  explicit TransitionView(const schema::Transition& t) : t_(t) {
-    binding_singleton_.insert(t.access.binding);
-  }
+  explicit TransitionView(const schema::Transition& t) : t_(t) {}
 
   store::TupleRange GetTuples(const PredicateRef& pred) const override {
     switch (pred.space) {
@@ -82,7 +81,7 @@ class TransitionView : public StructureView {
         return t_.post.tuples(pred.id);
       case PredSpace::kBind:
         return pred.id == t_.access.method
-                   ? store::TupleRange(&binding_singleton_)
+                   ? store::TupleRange::Single(&t_.access.binding)
                    : store::TupleRange();
       case PredSpace::kPlain:
         return store::TupleRange();
@@ -96,7 +95,50 @@ class TransitionView : public StructureView {
 
  private:
   const schema::Transition& t_;
-  std::set<Tuple> binding_singleton_;
+};
+
+/// Views M(t) of a *candidate* transition before its post-instance
+/// exists: the pre-instance, the access and the response fact ids.
+/// Rpost of the accessed relation reads as pre's fact set followed by
+/// the response ids pre lacks (a two-span store::TupleRange); every
+/// other Rpost is Rpre. The search engines decide each candidate access
+/// on this view and build the post-instance only for survivors.
+/// Constructing or evaluating on the view interns nothing. The pre
+/// instance, binding and response must outlive the view.
+class CandidateView : public StructureView {
+ public:
+  CandidateView(const schema::Schema& schema, const schema::Instance& pre,
+                const schema::Access& access,
+                const std::vector<store::FactId>& response_ids);
+
+  store::TupleRange GetTuples(const PredicateRef& pred) const override {
+    switch (pred.space) {
+      case PredSpace::kPre:
+        return pre_.tuples(pred.id);
+      case PredSpace::kPost:
+        if (pred.id != relation_) return pre_.tuples(pred.id);
+        return store::TupleRange(pre_.facts(pred.id).get(), new_ids_.data(),
+                                 new_ids_.size());
+      case PredSpace::kBind:
+        return pred.id == access_.method
+                   ? store::TupleRange::Single(&access_.binding)
+                   : store::TupleRange();
+      case PredSpace::kPlain:
+        return store::TupleRange();
+    }
+    return store::TupleRange();
+  }
+
+  bool MethodUsed(schema::AccessMethodId m) const override {
+    return m == access_.method;
+  }
+
+ private:
+  const schema::Instance& pre_;
+  const schema::Access& access_;
+  schema::RelationId relation_;
+  /// The response ids not already in pre, ascending, duplicate-free.
+  std::vector<store::FactId> new_ids_;
 };
 
 /// TransitionView with store::MatchIndexCache acceleration: pre/post

@@ -2,6 +2,7 @@
 #define ACCLTL_SCHEMA_INSTANCE_H_
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -146,6 +147,23 @@ class Instance::Builder {
  private:
   Instance base_;
   std::vector<std::vector<store::FactId>> pending_;
+};
+
+/// An instance's active domain, computed on first use and then reused.
+/// The search engines consult it only in grounded mode; one per
+/// expanded node bounds the cost to one scan of the configuration.
+class LazyActiveDomain {
+ public:
+  explicit LazyActiveDomain(const Instance& instance) : instance_(instance) {}
+
+  const std::set<Value>& get() {
+    if (!domain_.has_value()) domain_ = instance_.ActiveDomain();
+    return *domain_;
+  }
+
+ private:
+  const Instance& instance_;
+  std::optional<std::set<Value>> domain_;
 };
 
 struct InstanceHash {

@@ -313,10 +313,8 @@ Result<std::shared_ptr<const PreparedQuery>> AnalysisService::Prepare(
   if (!pf.ok()) return pf.status();
   prepared->prepared_ = std::move(pf.value());
   prepared->options_ = options;
-  prepared->decide_options_ = ToDecideOptions(options);
-  prepared->canonical_key_ =
-      MakeCanonicalRequestKey(*prepared->schema_, formula, options);
-  prepared->cache_key_ = prepared->canonical_key_.Joined();
+  prepared->cache_key_ =
+      MakeCanonicalRequestKey(*prepared->schema_, formula, options).Joined();
   prepared->semantic_key_ =
       MakeSemanticKey(*prepared->schema_, formula, options);
   return std::shared_ptr<const PreparedQuery>(std::move(prepared));
@@ -486,7 +484,7 @@ CheckResponse AnalysisService::RunEngine(const PreparedQuery& prepared,
     token->ArmDeadlineAfter(request.deadline);
   }
 
-  analysis::DecideOptions opts = prepared.decide_options_;
+  analysis::DecideOptions opts = ToDecideOptions(prepared.options_);
   opts.exec.num_threads =
       request.num_threads > 0 ? request.num_threads : options_.num_threads;
   opts.exec.cancel = token;

@@ -91,8 +91,6 @@ class PreparedQuery {
   /// options. Two PreparedQuery instances with equal keys answer every
   /// request identically (the basis of the syntactic result cache).
   const std::string& cache_key() const { return cache_key_; }
-  /// The structured form of cache_key() (same bytes, split fields).
-  const CanonicalRequestKey& canonical_key() const { return canonical_key_; }
   /// The semantic-tier identity: name-canonicalized texts plus the
   /// shape fingerprint that indexes the containment cache.
   const SemanticKey& semantic_key() const { return semantic_key_; }
@@ -110,8 +108,6 @@ class PreparedQuery {
   std::unique_ptr<const schema::Schema> schema_;
   analysis::PreparedFormula prepared_;
   PrepareOptions options_;
-  analysis::DecideOptions decide_options_;  // options_, rebased
-  CanonicalRequestKey canonical_key_;
   SemanticKey semantic_key_;
   std::string cache_key_;
 };

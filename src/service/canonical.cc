@@ -108,7 +108,10 @@ std::string CanonicalOptionsKey(const PrepareOptions& o) {
 }
 
 std::string CanonicalRequestKey::Joined() const {
-  std::string key = schema_text;
+  std::string key;
+  key.reserve(schema_text.size() + formula_text.size() +
+              options_text.size() + 2);
+  key += schema_text;
   key.push_back('\n');
   key += formula_text;
   key.push_back('\n');
@@ -149,6 +152,10 @@ SemanticKey MakeSemanticKey(const schema::Schema& schema,
   key.schema_text = schema::SerializeSchema(canonical);
   key.formula_text = formula->ToString(canonical);
   key.options_text = CanonicalOptionsKey(options);
+  // Prepared queries keep their key for life: drop the append slack.
+  key.schema_text.shrink_to_fit();
+  key.formula_text.shrink_to_fit();
+  key.options_text.shrink_to_fit();
 
   std::string skeleton;
   std::vector<std::tuple<int, int, int>> preds;

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/accltl/abstraction.h"
+#include "src/automata/a_automaton.h"
 #include "src/logic/containment.h"
 #include "src/logic/cq.h"
 #include "src/logic/eval.h"
 #include "src/logic/parser.h"
+#include "src/oracle/oracle.h"
+#include "src/store/fact_store.h"
 #include "src/workload/workload.h"
 
 namespace accltl {
@@ -313,6 +319,257 @@ TEST_P(NormalizePropertyTest, UcqEquivalentToFormula) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NormalizePropertyTest,
                          ::testing::Range(0, 25));
+
+// --- Guard first, post later: CandidateView ---------------------------------
+
+/// An atom over `pred` whose position `pos` carries `var` and every
+/// other position i the filler variable "w<i>" (added to `vars` once).
+PosFormulaPtr AtomWith(PredicateRef pred, int arity, int pos,
+                       const std::string& var, std::vector<std::string>* vars) {
+  std::vector<Term> terms;
+  for (int i = 0; i < arity; ++i) {
+    std::string v = i == pos ? var : "w" + std::to_string(i);
+    if (std::find(vars->begin(), vars->end(), v) == vars->end()) {
+      vars->push_back(v);
+    }
+    terms.push_back(Term::Var(v));
+  }
+  return PosFormula::MakeAtom(pred, std::move(terms));
+}
+
+/// Number of quantified variables: the oracle enumerates the active
+/// domain to this power.
+size_t QuantifiedVars(const PosFormula& f) {
+  size_t n = f.kind() == NodeKind::kExists ? f.bound_vars().size() : 0;
+  if (f.body() != nullptr) n += QuantifiedVars(*f.body());
+  for (const PosFormulaPtr& c : f.children()) n += QuantifiedVars(*c);
+  return n;
+}
+
+/// Hand-written probes the random generators rarely produce: a
+/// never-seen constant, inequalities, an IsBind join, and an OR that
+/// binds a variable on one branch only.
+std::vector<PosFormulaPtr> ProbeSentences(const schema::Schema& s,
+                                          const Value& unseen) {
+  std::vector<PosFormulaPtr> out;
+  for (schema::RelationId r = 0; r < s.num_relations(); ++r) {
+    int arity = s.relation(r).arity();
+    std::vector<std::string> vars = {"x"};
+    PosFormulaPtr post = AtomWith(Post(r), arity, 0, "x", &vars);
+    PosFormulaPtr pre = AtomWith(Pre(r), arity, 0, "x", &vars);
+    // A post tuple whose first value is not the never-seen constant.
+    out.push_back(PosFormula::Exists(
+        vars, PosFormula::And({post, PosFormula::Neq(Term::Var("x"),
+                                                     Term::Const(unseen))})));
+    std::vector<Term> with_const;
+    for (int i = 0; i < arity; ++i) with_const.push_back(Term::Const(unseen));
+    out.push_back(PosFormula::MakeAtom(Post(r), with_const));
+    out.push_back(PosFormula::Exists(vars, PosFormula::And({pre, post})));
+    // x bound on the first branch only, then joined.
+    std::vector<std::string> or_vars = {"x", "y"};
+    PosFormulaPtr left = AtomWith(Pre(r), arity, 0, "x", &or_vars);
+    PosFormulaPtr right = AtomWith(Post(r), arity, 0, "y", &or_vars);
+    PosFormulaPtr join = AtomWith(Post(r), arity, 0, "x", &or_vars);
+    out.push_back(PosFormula::Exists(
+        or_vars, PosFormula::And({PosFormula::Or({left, right}), join})));
+  }
+  for (schema::AccessMethodId m = 0; m < s.num_access_methods(); ++m) {
+    const schema::AccessMethod& am = s.method(m);
+    if (am.num_inputs() == 0) continue;
+    int arity = s.relation(am.relation).arity();
+    std::vector<std::string> vars = {"b"};
+    std::vector<Term> bind_terms = {Term::Var("b")};
+    for (int i = 1; i < am.num_inputs(); ++i) {
+      std::string v = "b" + std::to_string(i);
+      vars.push_back(v);
+      bind_terms.push_back(Term::Var(v));
+    }
+    PosFormulaPtr bind = PosFormula::MakeAtom(Bind(m), bind_terms);
+    PosFormulaPtr post =
+        AtomWith(Post(am.relation), arity, am.input_positions[0], "b", &vars);
+    out.push_back(PosFormula::Exists(vars, PosFormula::And({bind, post})));
+    out.push_back(PosFormula::Exists(
+        vars, PosFormula::And({bind, PosFormula::Eq(Term::Var("b"),
+                                                    Term::Const(unseen))})));
+    out.push_back(PosFormula::MakeAtom(Bind(m), {}));
+  }
+  return out;
+}
+
+/// Sentences over pre/post/IsBind drawn from the workload generators
+/// plus the probes above.
+std::vector<PosFormulaPtr> CandidateSentences(Rng* rng,
+                                              const schema::Schema& s,
+                                              const Value& unseen) {
+  std::vector<PosFormulaPtr> out = ProbeSentences(s, unseen);
+  for (int i = 0; i < 3; ++i) {
+    for (const PosFormulaPtr& a :
+         acc::Abstract(workload::RandomBindingPositiveFormula(rng, s, 2))
+             .atoms) {
+      out.push_back(a);
+    }
+    for (const PosFormulaPtr& a :
+         acc::Abstract(workload::RandomZeroAryFormula(rng, s, 2, true)).atoms) {
+      out.push_back(a);
+    }
+    PosFormulaPtr cq = workload::RandomCq(rng, s, 2, 3);
+    out.push_back(ShiftPlainSpace(cq, PredSpace::kPre));
+    out.push_back(ShiftPlainSpace(cq, PredSpace::kPost));
+  }
+  return out;
+}
+
+/// One random candidate access from `pre`: a method, a binding mixing
+/// active-domain values with values the store has never seen, and a
+/// response of universe facts plus facts pre already holds (possibly
+/// empty, possibly repeating an id).
+schema::Access RandomAccess(Rng* rng, const schema::Schema& s,
+                            const schema::Instance& pre,
+                            const schema::Instance& universe,
+                            const std::string& unseen_prefix,
+                            std::vector<store::FactId>* response) {
+  schema::AccessMethodId m =
+      static_cast<schema::AccessMethodId>(rng->Uniform(
+          static_cast<uint64_t>(s.num_access_methods())));
+  const schema::AccessMethod& am = s.method(m);
+  const schema::Relation& rel = s.relation(am.relation);
+  std::set<Value> dom = pre.ActiveDomain();
+  std::vector<Value> pool(dom.begin(), dom.end());
+  schema::Access access{m, {}};
+  for (schema::Position p : am.input_positions) {
+    ValueType type = rel.position_types[static_cast<size_t>(p)];
+    std::vector<Value> typed;
+    for (const Value& v : pool) {
+      if (v.type() == type) typed.push_back(v);
+    }
+    if (type == ValueType::kString && (typed.empty() || rng->Uniform(3) == 0)) {
+      access.binding.push_back(Value::Str(
+          unseen_prefix + "-bind-" + std::to_string(rng->Next() % 1000000)));
+    } else if (type == ValueType::kInt && (typed.empty() || rng->Uniform(3) == 0)) {
+      access.binding.push_back(
+          Value::Int(-900000000 - static_cast<int64_t>(rng->Uniform(1000))));
+    } else if (typed.empty()) {
+      access.binding.push_back(Value::Bool(rng->Uniform(2) == 0));
+    } else {
+      access.binding.push_back(typed[rng->Uniform(typed.size())]);
+    }
+  }
+  response->clear();
+  for (store::FactId id : universe.facts(am.relation)->ids()) {
+    if (rng->Uniform(2) == 0) response->push_back(id);
+  }
+  for (store::FactId id : pre.facts(am.relation)->ids()) {
+    if (rng->Uniform(3) == 0) response->push_back(id);
+  }
+  if (!response->empty() && rng->Uniform(4) == 0) {
+    response->push_back(response->front());
+  }
+  if (rng->Uniform(5) == 0) response->clear();
+  return access;
+}
+
+class CandidateViewPropertyTest : public ::testing::TestWithParam<int> {};
+
+/// The guard-first contract: a sentence decided on the pre+response
+/// view equals its value on the materialized transition and the
+/// oracle's naive active-domain evaluation.
+TEST_P(CandidateViewPropertyTest, AgreesWithTransitionViewAndOracle) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 131 + 7);
+  schema::Schema s = GetParam() % 2 == 0
+                         ? workload::RandomSchema(&rng, 3, 2)
+                         : workload::RandomHighArityMixedSchema(&rng, 2);
+  std::string prefix = "cv-unseen-" + std::to_string(GetParam());
+  Value unseen = Value::Str(prefix + "-const");
+  std::vector<PosFormulaPtr> sentences = CandidateSentences(&rng, s, unseen);
+  for (int trial = 0; trial < 12; ++trial) {
+    schema::Instance pre = workload::RandomInstance(&rng, s, 6, 3);
+    schema::Instance universe = workload::RandomInstance(&rng, s, 10, 4);
+    std::vector<store::FactId> response;
+    schema::Access access =
+        RandomAccess(&rng, s, pre, universe, prefix, &response);
+    CandidateView candidate(s, pre, access, response);
+    schema::Transition t =
+        schema::MakeTransitionFromIds(s, pre, access, response);
+    TransitionView materialized(t);
+    oracle::NaiveStep step;
+    step.method = access.method;
+    step.binding = access.binding;
+    step.response = t.response;
+    step.pre = oracle::ToNaive(t.pre);
+    step.post = oracle::ToNaive(t.post);
+    for (const PosFormulaPtr& f : sentences) {
+      bool on_candidate = EvalSentence(f, candidate);
+      EXPECT_EQ(on_candidate, EvalSentence(f, materialized))
+          << f->ToString(s) << "\n" << t.ToString(s);
+      if (QuantifiedVars(*f) <= 4) {
+        EXPECT_EQ(on_candidate, oracle::NaiveEvalSentence(f, step))
+            << f->ToString(s) << "\n" << t.ToString(s);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CandidateViewPropertyTest,
+                         ::testing::Range(0, 30));
+
+/// Never intern on the evaluation path: deciding guards and atoms on a
+/// candidate view whose constants and binding values the store has
+/// never seen leaves the store unchanged (it never frees).
+TEST_F(LogicTest, CandidateEvaluationNeverInterns) {
+  Value unseen_name = S("ni-never-seen-name");
+  Value unseen_street = S("ni-never-seen-street");
+  store::Store& store = store::Store::Get();
+  ASSERT_EQ(store.TryFindValue(unseen_name), store::kNoValueId);
+  ASSERT_EQ(store.TryFindValue(unseen_street), store::kNoValueId);
+
+  schema::Instance pre(pd_.schema);
+  pre.AddFact(pd_.mobile, {S("Smith"), S("OX13QD"), S("Parks Rd"), I(5551212)});
+  store::FactId jones = store.InternTuple(
+      {S("Jones"), S("OX13QD"), S("Parks Rd"), I(5550000)});
+  schema::Access access{pd_.acm1, {unseen_name}};
+  std::vector<store::FactId> response = {jones};
+
+  automata::Guard guard;
+  guard.positive = Parse(
+      "EXISTS n . IsBind_AcM1(n) AND n = \"ni-never-seen-name\"");
+  guard.negated = {
+      Parse("EXISTS n,p,ph . Mobile_post(n,p,\"ni-never-seen-street\",ph)"),
+      Parse("EXISTS n,p,s,ph . Mobile_post(n,p,s,ph) AND "
+            "n = \"ni-never-seen-name\"")};
+  CompiledFormula atom(Parse(
+      "EXISTS n,p,s,ph . IsBind_AcM1(n) AND Mobile_pre(n,p,s,ph)"));
+
+  size_t values = store.num_values();
+  size_t facts = store.num_facts();
+  CandidateView view(pd_.schema, pre, access, response);
+  EXPECT_TRUE(guard.Eval(view));
+  EXPECT_FALSE(atom.Eval(view));
+  EXPECT_TRUE(EvalSentence(guard.positive, view));
+  EXPECT_EQ(store.num_values(), values);
+  EXPECT_EQ(store.num_facts(), facts);
+  EXPECT_EQ(store.TryFindValue(unseen_name), store::kNoValueId);
+  EXPECT_EQ(store.TryFindValue(unseen_street), store::kNoValueId);
+}
+
+/// The compiled evaluator resolves shadowing statically: an inner
+/// quantifier's variable never leaks into an outer conjunct.
+TEST_F(LogicTest, CompiledFormulaScopesAndAnswers) {
+  schema::Instance inst(pd_.schema);
+  inst.AddFact(pd_.mobile, {S("Smith"), S("OX13QD"), S("Parks Rd"), I(1)});
+  inst.AddFact(pd_.address, {S("Parks Rd"), S("OX13QD"), S("Jones"), I(16)});
+  InstanceView view(inst);
+  // Outer n is pinned to "Jones"; the inner EXISTS n rebinds it to
+  // "Smith" only inside its body.
+  PosFormulaPtr f = Parse(
+      "(EXISTS n,p,s,ph . Mobile(n,p,s,ph)) AND "
+      "(EXISTS s,p,h . Address(s,p,n,h))");
+  EXPECT_TRUE(EvalWithEnv(f, view, {{"n", S("Jones")}}));
+  EXPECT_FALSE(EvalWithEnv(f, view, {{"n", S("Smith")}}));
+  EXPECT_EQ(EnumerateAnswers(f, {"n"}, view), std::set<Tuple>{{S("Jones")}});
+  // A head variable the formula leaves unbound yields no answers.
+  EXPECT_TRUE(EnumerateAnswers(f, {"zz"}, view).empty());
+  EXPECT_TRUE(CompiledFormula().Eval(view));
+}
 
 }  // namespace
 }  // namespace logic

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <mutex>
 #include <string>
@@ -21,6 +22,7 @@
 #include "src/store/fact_store.h"
 #include "src/store/match_index.h"
 #include "src/store/stable_vector.h"
+#include "src/store/tuple_range.h"
 #include "src/workload/workload.h"
 
 namespace accltl {
@@ -251,6 +253,79 @@ TEST(StoreTest, FactSetDerivationAndHash) {
   EXPECT_TRUE(s2->SubsetOf(*forward));
   EXPECT_FALSE(forward->SubsetOf(*s2));
   EXPECT_EQ(store::FactSet::Union(s1, s2)->ids(), s2->ids());
+}
+
+// --- TupleRange ----------------------------------------------------------------
+
+std::vector<Tuple> Collect(const store::TupleRange& range) {
+  std::vector<Tuple> out;
+  for (const Tuple& t : range) out.push_back(t);
+  return out;
+}
+
+TEST(TupleRangeTest, TwoSpansIterateSetThenExtra) {
+  store::Store& store = store::Store::Get();
+  store::FactId a = store.InternTuple({S("tr-a")});
+  store::FactId b = store.InternTuple({S("tr-b")});
+  store::FactId c = store.InternTuple({S("tr-c")});
+  store::FactId d = store.InternTuple({S("tr-d")});
+  store::FactSet::Ptr base = store::FactSet::FromUnsorted({a, c});
+  std::vector<store::FactId> extra = {b, d};
+  std::sort(extra.begin(), extra.end());
+
+  store::TupleRange range(base.get(), extra.data(), extra.size());
+  EXPECT_TRUE(range.has_fact_ids());
+  EXPECT_EQ(range.size(), 4u);
+  EXPECT_FALSE(range.empty());
+  std::vector<Tuple> want;
+  for (store::FactId id : base->ids()) want.push_back(store.tuple(id));
+  for (store::FactId id : extra) want.push_back(store.tuple(id));
+  EXPECT_EQ(Collect(range), want);
+  for (const Tuple& t : want) EXPECT_TRUE(range.Contains(t));
+  EXPECT_FALSE(range.Contains({S("tr-e")}));          // never interned
+  store.InternTuple({S("tr-f")});
+  EXPECT_FALSE(range.Contains({S("tr-f")}));          // interned, absent
+  EXPECT_FALSE(range.Contains({S("tr-a"), S("x")}));  // other arity
+}
+
+TEST(TupleRangeTest, EitherSpanMayBeEmpty) {
+  store::Store& store = store::Store::Get();
+  store::FactId a = store.InternTuple({S("tr-only-a")});
+  store::FactId b = store.InternTuple({S("tr-only-b")});
+  store::FactSet::Ptr base = store::FactSet::FromUnsorted({a});
+
+  // Only the set.
+  store::TupleRange set_only(base.get(), nullptr, 0);
+  EXPECT_EQ(set_only.size(), 1u);
+  EXPECT_EQ(Collect(set_only), std::vector<Tuple>{store.tuple(a)});
+  EXPECT_FALSE(set_only.Contains(store.tuple(b)));
+
+  // Only the extra span (an empty or absent set).
+  store::TupleRange extra_only(store::FactSet::Empty().get(), &b, 1);
+  EXPECT_EQ(extra_only.size(), 1u);
+  EXPECT_EQ(Collect(extra_only), std::vector<Tuple>{store.tuple(b)});
+  EXPECT_TRUE(extra_only.Contains(store.tuple(b)));
+  EXPECT_FALSE(extra_only.Contains(store.tuple(a)));
+  store::TupleRange null_set(nullptr, &b, 1);
+  EXPECT_EQ(Collect(null_set), std::vector<Tuple>{store.tuple(b)});
+
+  // Neither.
+  store::TupleRange neither(nullptr, nullptr, 0);
+  EXPECT_TRUE(neither.empty());
+  EXPECT_TRUE(neither.has_fact_ids());
+  EXPECT_TRUE(Collect(neither).empty());
+  EXPECT_FALSE(neither.Contains(store.tuple(a)));
+  EXPECT_TRUE(Collect(store::TupleRange()).empty());
+}
+
+TEST(TupleRangeTest, SingleTupleRange) {
+  Tuple binding = {S("tr-single"), I(7)};
+  store::TupleRange range = store::TupleRange::Single(&binding);
+  EXPECT_FALSE(range.has_fact_ids());
+  EXPECT_EQ(range.size(), 1u);
+  EXPECT_EQ(Collect(range), std::vector<Tuple>{binding});
+  EXPECT_TRUE(range.Contains(binding));
+  EXPECT_FALSE(range.Contains({S("tr-single")}));
 }
 
 TEST(StoreTest, MatchIndexFindsByPositionValue) {
