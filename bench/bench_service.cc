@@ -229,20 +229,15 @@ BENCHMARK(BM_DeadlineHitLatency)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Semantic-tier hit latency on a renamed-schema batch: one engine
-// search seeds the donor, then every iteration prepares the same
-// request against a freshly renamed schema (different syntactic key,
-// same canonical texts) and times the Check that rule 1 must answer.
-// The prepare cost is excluded (PauseTiming), so the per-iteration
-// time IS the per-hit latency of the semantic tier end-to-end
-// (pipeline walk + fingerprint probe + byte comparison + upward
-// admission into the syntactic cache).
-void BM_SemanticCacheRenamedBatch(benchmark::State& state) {
+// Result-cache hit latency on a renamed-schema batch: one engine
+// search fills the cache, then every iteration prepares the same
+// request against a freshly renamed schema and times the Check. The
+// cache key is name-free, so each renamed twin must replay from the
+// LRU. The prepare cost is excluded (PauseTiming), so the
+// per-iteration time IS the per-hit latency end-to-end.
+void BM_RenamedTwinCachedCheck(benchmark::State& state) {
   workload::PhoneDirectory pd = workload::MakePhoneDirectory();
-  ServiceOptions sopts;
-  sopts.cache_capacity = 4096;
-  sopts.semantic_cache_capacity = 4096;
-  AnalysisService svc(sopts);
+  AnalysisService svc;
   auto donor =
       svc.Prepare(pd.schema, std::string(kZeroFormula),
                   service::PrepareOptions{})
@@ -250,7 +245,7 @@ void BM_SemanticCacheRenamedBatch(benchmark::State& state) {
   benchmark::DoNotOptimize(svc.Check(*donor).verdict);
 
   size_t i = 0;
-  bool last_was_semantic = false;
+  bool last_was_hit = false;
   for (auto _ : state) {
     state.PauseTiming();
     schema::Schema renamed;
@@ -269,63 +264,15 @@ void BM_SemanticCacheRenamedBatch(benchmark::State& state) {
     auto twin = svc.Prepare(renamed, donor->formula()).value();
     state.ResumeTiming();
     CheckResponse resp = svc.Check(*twin);
-    benchmark::DoNotOptimize(resp.source);
-    last_was_semantic =
-        resp.source == service::AnswerSource::kSemanticCache;
+    benchmark::DoNotOptimize(resp.verdict);
+    last_was_hit = resp.cache_hit;
   }
-  service::SemanticCache::Stats stats = svc.semantic_stats();
-  // Deterministic counters (bench_compare.py gates on semantic_hit):
-  // every renamed twin must transfer from the semantic tier, so the
-  // final iteration is a hit and the tier's hit rate is 1.
-  state.counters["semantic_hit"] = last_was_semantic ? 1.0 : 0.0;
-  state.counters["semantic_hit_rate"] =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) /
-                static_cast<double>(stats.hits + stats.misses);
+  // Deterministic counter (bench_compare.py gates on cache_hit): every
+  // renamed twin must replay from the cache, so the final iteration
+  // is a hit.
+  state.counters["cache_hit"] = last_was_hit ? 1.0 : 0.0;
 }
-BENCHMARK(BM_SemanticCacheRenamedBatch)->Unit(benchmark::kMicrosecond);
-
-// The semantic index probe in isolation: Candidates() against a cache
-// holding 128 synthetic donors spread over 32 fingerprints (4 per
-// bucket). The acceptance bar of the tiered-pipeline PR: median probe
-// under 1 microsecond.
-void BM_SemanticIndexLookup(benchmark::State& state) {
-  workload::PhoneDirectory pd = workload::MakePhoneDirectory();
-  auto schema = std::make_shared<const schema::Schema>(pd.schema);
-  Result<acc::AccPtr> f = acc::ParseAccFormula(kZeroFormula, pd.schema);
-  service::SemanticCache cache(1024);
-  constexpr uint64_t kFingerprints = 32;
-  constexpr uint64_t kPerBucket = 4;
-  for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
-    for (uint64_t j = 0; j < kPerBucket; ++j) {
-      service::SemanticCache::Donor donor;
-      donor.key.fingerprint = 0x9e3779b97f4a7c15ull * (fp + 1);
-      donor.key.schema_text = "schema";
-      donor.key.formula_text = "formula-" + std::to_string(j);
-      donor.key.options_text = "options";
-      donor.syntactic_key =
-          std::to_string(fp) + ":" + std::to_string(j);
-      donor.schema = schema;
-      donor.formula = f.value();
-      donor.zero_routed = true;
-      cache.AdmitDonor(std::move(donor));
-    }
-  }
-  uint64_t probe = 0;
-  size_t candidates = 0;
-  for (auto _ : state) {
-    uint64_t fp = 0x9e3779b97f4a7c15ull * (probe % kFingerprints + 1);
-    auto bucket = cache.Candidates(fp);
-    benchmark::DoNotOptimize(bucket.size());
-    candidates = bucket.size();
-    ++probe;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(probe));
-  // Deterministic: every probed bucket holds exactly kPerBucket donors.
-  state.counters["candidates"] = static_cast<double>(candidates);
-}
-BENCHMARK(BM_SemanticIndexLookup)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RenamedTwinCachedCheck)->Unit(benchmark::kMicrosecond);
 
 // Streaming sessions at scale: 1000 concurrent sessions stepped
 // round-robin through the synchronous surface. Half the sessions run

@@ -874,107 +874,5 @@ Result<bool> ContainedInPositive(const Program& p, const DlUcq& query,
   return fix.Run();
 }
 
-
-namespace {
-
-using Renaming = std::map<std::string, std::string>;
-
-/// Extends the bijection fwd/rev with v1 -> v2; false on conflict.
-bool BindRenamedVar(const std::string& v1, const std::string& v2,
-                    Renaming* fwd, Renaming* rev) {
-  auto [fit, finserted] = fwd->emplace(v1, v2);
-  if (!finserted) return fit->second == v2;
-  auto [rit, rinserted] = rev->emplace(v2, v1);
-  if (!rinserted) {
-    fwd->erase(fit);
-    return false;
-  }
-  return true;
-}
-
-/// Backtracking multiset match of a.atoms onto b.atoms under a growing
-/// variable bijection.
-bool MatchDlAtoms(const DlCq& a, const DlCq& b, size_t i,
-                  std::vector<bool>* used, Renaming* fwd, Renaming* rev) {
-  if (i == a.atoms.size()) return true;
-  const DlAtom& a1 = a.atoms[i];
-  for (size_t j = 0; j < b.atoms.size(); ++j) {
-    if ((*used)[j]) continue;
-    const DlAtom& a2 = b.atoms[j];
-    if (a1.pred != a2.pred || a1.terms.size() != a2.terms.size()) continue;
-    std::vector<std::pair<std::string, std::string>> trail;
-    bool bound = true;
-    for (size_t k = 0; k < a1.terms.size() && bound; ++k) {
-      const logic::Term& t1 = a1.terms[k];
-      const logic::Term& t2 = a2.terms[k];
-      if (t1.is_const() != t2.is_const()) {
-        bound = false;
-      } else if (t1.is_const()) {
-        bound = t1.value() == t2.value();
-      } else {
-        size_t before = fwd->count(t1.var_name());
-        bound = BindRenamedVar(t1.var_name(), t2.var_name(), fwd, rev);
-        if (bound && before == 0) {
-          trail.emplace_back(t1.var_name(), t2.var_name());
-        }
-      }
-    }
-    if (bound) {
-      (*used)[j] = true;
-      if (MatchDlAtoms(a, b, i + 1, used, fwd, rev)) return true;
-      (*used)[j] = false;
-    }
-    for (const auto& [v1, v2] : trail) {
-      fwd->erase(v1);
-      rev->erase(v2);
-    }
-  }
-  return false;
-}
-
-bool MatchDlDisjuncts(const DlUcq& lhs, const DlUcq& rhs, size_t i,
-                      std::vector<bool>* used,
-                      std::vector<Renaming>* renamings) {
-  if (i == lhs.size()) return true;
-  for (size_t j = 0; j < rhs.size(); ++j) {
-    if ((*used)[j]) continue;
-    std::optional<Renaming> r = DlCqEquivalentUpToRenaming(lhs[i], rhs[j]);
-    if (!r.has_value()) continue;
-    (*used)[j] = true;
-    renamings->push_back(std::move(*r));
-    if (MatchDlDisjuncts(lhs, rhs, i + 1, used, renamings)) return true;
-    renamings->pop_back();
-    (*used)[j] = false;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::optional<std::map<std::string, std::string>> DlCqEquivalentUpToRenaming(
-    const DlCq& a, const DlCq& b, size_t max_atoms) {
-  if (a.atoms.size() != b.atoms.size()) return std::nullopt;
-  if (a.atoms.size() > max_atoms) return std::nullopt;  // don't know
-  Renaming fwd;
-  Renaming rev;
-  std::vector<bool> used(b.atoms.size(), false);
-  if (!MatchDlAtoms(a, b, 0, &used, &fwd, &rev)) return std::nullopt;
-  return fwd;
-}
-
-bool DlUcqEquivalentUpToRenaming(
-    const DlUcq& lhs, const DlUcq& rhs,
-    std::vector<std::map<std::string, std::string>>* witness) {
-  if (lhs.size() != rhs.size()) return false;
-  // Factorial matching past this width; "don't know" is the honest
-  // (and cheap) answer.
-  if (lhs.size() > 16) return false;
-  std::vector<bool> used(rhs.size(), false);
-  std::vector<Renaming> renamings;
-  if (!MatchDlDisjuncts(lhs, rhs, 0, &used, &renamings)) return false;
-  if (witness != nullptr) *witness = std::move(renamings);
-  return true;
-}
-
 }  // namespace datalog
 }  // namespace accltl

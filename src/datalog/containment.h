@@ -1,8 +1,6 @@
 #ifndef ACCLTL_DATALOG_CONTAINMENT_H_
 #define ACCLTL_DATALOG_CONTAINMENT_H_
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,25 +68,6 @@ bool UcqHoldsOnDb(const DlUcq& query, const DlDatabase& db);
 /// Containment of UCQ sentences over the same EDB vocabulary:
 /// lhs ⊆ rhs iff each disjunct's canonical database satisfies rhs.
 bool DlUcqContained(const DlUcq& lhs, const DlUcq& rhs);
-
-/// Is `b` exactly `a` with variables renamed bijectively? Atoms are
-/// matched as multisets (conjunct order is immaterial). Returns the
-/// witness renaming (a-variable -> b-variable) when one exists,
-/// nullopt otherwise — which is strictly finer than semantic
-/// equivalence (DlUcqContained both ways), never coarser. Queries
-/// beyond `max_atoms` atoms answer nullopt (don't know) instead of
-/// risking factorial backtracking.
-std::optional<std::map<std::string, std::string>> DlCqEquivalentUpToRenaming(
-    const DlCq& a, const DlCq& b, size_t max_atoms = 16);
-
-/// Renaming-witness equivalence at the UCQ level: disjunct sets are
-/// matched one-to-one, each pair related by a bijective per-disjunct
-/// variable renaming. `witness`, when non-null, receives one renaming
-/// per lhs disjunct in lhs order. False means "no such matching
-/// found", not a semantic refutation.
-bool DlUcqEquivalentUpToRenaming(
-    const DlUcq& lhs, const DlUcq& rhs,
-    std::vector<std::map<std::string, std::string>>* witness = nullptr);
 
 }  // namespace datalog
 }  // namespace accltl

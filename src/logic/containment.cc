@@ -250,205 +250,12 @@ Result<bool> UcqContained(const Ucq& q1, const Ucq& q2,
 
 Result<bool> SentenceContained(const PosFormulaPtr& f1,
                                const PosFormulaPtr& f2,
-                               const schema::Schema& schema,
-                               size_t max_disjuncts) {
-  Result<Ucq> u1 = NormalizeToUcq(f1, {}, schema, max_disjuncts);
+                               const schema::Schema& schema) {
+  Result<Ucq> u1 = NormalizeToUcq(f1, {}, schema);
   if (!u1.ok()) return u1.status();
-  Result<Ucq> u2 = NormalizeToUcq(f2, {}, schema, max_disjuncts);
+  Result<Ucq> u2 = NormalizeToUcq(f2, {}, schema);
   if (!u2.ok()) return u2.status();
   return UcqContained(u1.value(), u2.value(), schema);
-}
-
-namespace {
-
-/// Extends the bijection fwd/rev with v1 -> v2; false on conflict.
-bool BindVar(const std::string& v1, const std::string& v2, VarRenaming* fwd,
-             VarRenaming* rev) {
-  auto [fit, finserted] = fwd->emplace(v1, v2);
-  if (!finserted) return fit->second == v2;
-  auto [rit, rinserted] = rev->emplace(v2, v1);
-  if (!rinserted) {
-    fwd->erase(fit);
-    return false;
-  }
-  return true;
-}
-
-/// Can t1 map onto t2 under (an extension of) the bijection?
-bool BindTerm(const Term& t1, const Term& t2, VarRenaming* fwd,
-              VarRenaming* rev,
-              std::vector<std::pair<std::string, std::string>>* trail) {
-  if (t1.is_const() != t2.is_const()) return false;
-  if (t1.is_const()) return t1.value() == t2.value();
-  size_t before = fwd->count(t1.var_name());
-  if (!BindVar(t1.var_name(), t2.var_name(), fwd, rev)) return false;
-  if (before == 0) trail->emplace_back(t1.var_name(), t2.var_name());
-  return true;
-}
-
-/// Normalized encoding of a ≠ pair under `fwd` (variables renamed,
-/// sides ordered), so multiset comparison is order-insensitive.
-std::string NeqKey(const std::pair<Term, Term>& neq, const VarRenaming* fwd) {
-  auto encode = [&](const Term& t) {
-    if (t.is_const()) return "c:" + t.value().ToString();
-    if (fwd != nullptr) {
-      auto it = fwd->find(t.var_name());
-      if (it != fwd->end()) return "v:" + it->second;
-    }
-    return "v:" + t.var_name();
-  };
-  std::string a = encode(neq.first);
-  std::string b = encode(neq.second);
-  if (b < a) std::swap(a, b);
-  return a + "|" + b;
-}
-
-/// Backtracking multiset match of q1.atoms onto q2.atoms under a
-/// growing variable bijection.
-bool MatchAtoms(const Cq& q1, const Cq& q2, size_t i,
-                std::vector<bool>* used, VarRenaming* fwd, VarRenaming* rev) {
-  if (i == q1.atoms.size()) return true;
-  const CqAtom& a1 = q1.atoms[i];
-  for (size_t j = 0; j < q2.atoms.size(); ++j) {
-    if ((*used)[j]) continue;
-    const CqAtom& a2 = q2.atoms[j];
-    if (!(a1.pred == a2.pred) || a1.terms.size() != a2.terms.size()) continue;
-    std::vector<std::pair<std::string, std::string>> trail;
-    bool bound = true;
-    for (size_t k = 0; k < a1.terms.size() && bound; ++k) {
-      bound = BindTerm(a1.terms[k], a2.terms[k], fwd, rev, &trail);
-    }
-    if (bound) {
-      (*used)[j] = true;
-      if (MatchAtoms(q1, q2, i + 1, used, fwd, rev)) return true;
-      (*used)[j] = false;
-    }
-    for (const auto& [v1, v2] : trail) {
-      fwd->erase(v1);
-      rev->erase(v2);
-    }
-  }
-  return false;
-}
-
-/// Multiset equality of string keys.
-bool SameMultiset(std::vector<std::string> a, std::vector<std::string> b) {
-  if (a.size() != b.size()) return false;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
-}
-
-}  // namespace
-
-std::optional<VarRenaming> CqEquivalentUpToRenaming(const Cq& q1,
-                                                    const Cq& q2,
-                                                    size_t max_atoms) {
-  if (q1.atoms.size() != q2.atoms.size() ||
-      q1.neqs.size() != q2.neqs.size() || q1.head.size() != q2.head.size() ||
-      q1.head_eqs.size() != q2.head_eqs.size() ||
-      q1.head_consts.size() != q2.head_consts.size()) {
-    return std::nullopt;
-  }
-  if (q1.atoms.size() > max_atoms) return std::nullopt;  // don't know
-  VarRenaming fwd;
-  VarRenaming rev;
-  // Heads are positional: the i-th answer variable must map to the
-  // i-th answer variable.
-  for (size_t i = 0; i < q1.head.size(); ++i) {
-    if (!BindVar(q1.head[i], q2.head[i], &fwd, &rev)) return std::nullopt;
-  }
-  std::vector<bool> used(q2.atoms.size(), false);
-  if (!MatchAtoms(q1, q2, 0, &used, &fwd, &rev)) return std::nullopt;
-  // Every variable of both queries must be covered by the bijection —
-  // a variable occurring only in a ≠ side condition has no canonical
-  // image, so we conservatively answer "don't know".
-  for (const std::string& v : q1.Vars()) {
-    if (fwd.find(v) == fwd.end()) return std::nullopt;
-  }
-  for (const std::string& v : q2.Vars()) {
-    if (rev.find(v) == rev.end()) return std::nullopt;
-  }
-  // ≠ side conditions and normalization residue must agree as
-  // multisets under the renaming.
-  std::vector<std::string> n1;
-  std::vector<std::string> n2;
-  for (const auto& neq : q1.neqs) n1.push_back(NeqKey(neq, &fwd));
-  for (const auto& neq : q2.neqs) n2.push_back(NeqKey(neq, nullptr));
-  if (!SameMultiset(std::move(n1), std::move(n2))) return std::nullopt;
-  std::vector<std::string> e1;
-  std::vector<std::string> e2;
-  for (const auto& [l, r] : q1.head_eqs) {
-    std::string a = fwd.at(l);
-    std::string b = fwd.at(r);
-    if (b < a) std::swap(a, b);
-    e1.push_back(a + "|" + b);
-  }
-  for (const auto& [l, r] : q2.head_eqs) {
-    std::string a = l;
-    std::string b = r;
-    if (b < a) std::swap(a, b);
-    e2.push_back(a + "|" + b);
-  }
-  if (!SameMultiset(std::move(e1), std::move(e2))) return std::nullopt;
-  std::vector<std::string> c1;
-  std::vector<std::string> c2;
-  for (const auto& [v, c] : q1.head_consts) {
-    c1.push_back(fwd.at(v) + "|" + c.ToString());
-  }
-  for (const auto& [v, c] : q2.head_consts) {
-    c2.push_back(v + "|" + c.ToString());
-  }
-  if (!SameMultiset(std::move(c1), std::move(c2))) return std::nullopt;
-  return fwd;
-}
-
-namespace {
-
-/// Perfect matching between disjunct lists where edge (i, j) holds iff
-/// disjunct i of u1 is a renaming of disjunct j of u2.
-bool MatchDisjuncts(const Ucq& u1, const Ucq& u2, size_t i,
-                    std::vector<bool>* used,
-                    std::vector<VarRenaming>* renamings) {
-  if (i == u1.disjuncts.size()) return true;
-  for (size_t j = 0; j < u2.disjuncts.size(); ++j) {
-    if ((*used)[j]) continue;
-    std::optional<VarRenaming> r =
-        CqEquivalentUpToRenaming(u1.disjuncts[i], u2.disjuncts[j]);
-    if (!r.has_value()) continue;
-    (*used)[j] = true;
-    renamings->push_back(std::move(*r));
-    if (MatchDisjuncts(u1, u2, i + 1, used, renamings)) return true;
-    renamings->pop_back();
-    (*used)[j] = false;
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<bool> SentenceEquivalentUpToRenaming(const PosFormulaPtr& f1,
-                                            const PosFormulaPtr& f2,
-                                            const schema::Schema& schema,
-                                            std::vector<VarRenaming>* witness,
-                                            size_t max_disjuncts) {
-  Result<Ucq> u1 = NormalizeToUcq(f1, {}, schema, max_disjuncts);
-  if (!u1.ok()) return u1.status();
-  Result<Ucq> u2 = NormalizeToUcq(f2, {}, schema, max_disjuncts);
-  if (!u2.ok()) return u2.status();
-  if (u1.value().disjuncts.size() != u2.value().disjuncts.size()) {
-    return false;
-  }
-  // The disjunct-matching search is factorial in the worst case; past
-  // this width "don't know" is the honest (and cheap) answer.
-  if (u1.value().disjuncts.size() > 16) return false;
-  std::vector<bool> used(u2.value().disjuncts.size(), false);
-  std::vector<VarRenaming> renamings;
-  if (!MatchDisjuncts(u1.value(), u2.value(), 0, &used, &renamings)) {
-    return false;
-  }
-  if (witness != nullptr) *witness = std::move(renamings);
-  return true;
 }
 
 }  // namespace logic

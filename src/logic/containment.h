@@ -2,9 +2,7 @@
 #define ACCLTL_LOGIC_CONTAINMENT_H_
 
 #include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/logic/cq.h"
@@ -36,43 +34,10 @@ Result<bool> UcqContained(const Ucq& q1, const Ucq& q2,
                           const schema::Schema& schema);
 
 /// Is the sentence `f1` contained in sentence `f2` (i.e. every structure
-/// satisfying f1 satisfies f2)? Both are normalized to UCQs first
-/// (kResourceExhausted past `max_disjuncts`).
+/// satisfying f1 satisfies f2)? Both are normalized to UCQs first.
 Result<bool> SentenceContained(const PosFormulaPtr& f1,
                                const PosFormulaPtr& f2,
-                               const schema::Schema& schema,
-                               size_t max_disjuncts = 100000);
-
-/// A bijective variable renaming r (q1 variable -> q2 variable)
-/// witnessing syntactic identity up to renaming.
-using VarRenaming = std::map<std::string, std::string>;
-
-/// Is q2 exactly q1 with variables renamed bijectively? Atoms are
-/// matched as multisets (conjunct order is immaterial), ≠ side
-/// conditions as unordered-pair multisets, heads positionally.
-/// Returns the witness renaming when one exists, nullopt otherwise.
-/// Exact for the "is a renaming" question; strictly finer than
-/// semantic equivalence (renaming-equivalent ⇒ equivalent, never the
-/// converse), which is what makes it a sound, cheap fast path for
-/// verdict transfer. Queries beyond `max_atoms` atoms answer nullopt
-/// (don't know) instead of risking factorial backtracking.
-std::optional<VarRenaming> CqEquivalentUpToRenaming(const Cq& q1,
-                                                    const Cq& q2,
-                                                    size_t max_atoms = 16);
-
-/// Renaming-witness equivalence of sentences: both sides are
-/// normalized to UCQ and the disjunct sets matched one-to-one, each
-/// pair related by a (per-disjunct) bijective variable renaming.
-/// `witness`, when non-null, receives one renaming per f1 disjunct in
-/// f1's disjunct order. Returns ok(false) when no such matching is
-/// found — a "don't know", not a refutation: the sentences may still
-/// be semantically equivalent via SentenceContained both ways.
-/// Normalization past `max_disjuncts` is kResourceExhausted.
-Result<bool> SentenceEquivalentUpToRenaming(
-    const PosFormulaPtr& f1, const PosFormulaPtr& f2,
-    const schema::Schema& schema,
-    std::vector<VarRenaming>* witness = nullptr,
-    size_t max_disjuncts = 256);
+                               const schema::Schema& schema);
 
 /// Does a homomorphism from `q` into `db` exist that extends `seed`
 /// (mapping of q's variables to values) and satisfies q's ≠ atoms?

@@ -409,49 +409,5 @@ PosFormulaPtr ShiftPlainSpace(const PosFormulaPtr& f, PredSpace target) {
   }
 }
 
-namespace {
-
-Term RenameTerm(const Term& t, const std::string& prefix) {
-  return t.is_var() ? Term::Var(prefix + t.var_name()) : t;
-}
-
-}  // namespace
-
-PosFormulaPtr RenameVars(const PosFormulaPtr& f, const std::string& prefix) {
-  switch (f->kind()) {
-    case NodeKind::kAtom: {
-      std::vector<Term> terms;
-      terms.reserve(f->terms().size());
-      for (const Term& t : f->terms()) terms.push_back(RenameTerm(t, prefix));
-      return PosFormula::MakeAtom(f->pred(), std::move(terms));
-    }
-    case NodeKind::kEq:
-      return PosFormula::Eq(RenameTerm(f->lhs(), prefix),
-                            RenameTerm(f->rhs(), prefix));
-    case NodeKind::kNeq:
-      return PosFormula::Neq(RenameTerm(f->lhs(), prefix),
-                             RenameTerm(f->rhs(), prefix));
-    case NodeKind::kAnd:
-    case NodeKind::kOr: {
-      std::vector<PosFormulaPtr> kids;
-      kids.reserve(f->children().size());
-      for (const PosFormulaPtr& c : f->children()) {
-        kids.push_back(RenameVars(c, prefix));
-      }
-      return f->kind() == NodeKind::kAnd ? PosFormula::And(std::move(kids))
-                                         : PosFormula::Or(std::move(kids));
-    }
-    case NodeKind::kExists: {
-      std::vector<std::string> vars;
-      vars.reserve(f->bound_vars().size());
-      for (const std::string& v : f->bound_vars()) vars.push_back(prefix + v);
-      return PosFormula::Exists(std::move(vars),
-                                RenameVars(f->body(), prefix));
-    }
-    default:
-      return f;
-  }
-}
-
 }  // namespace logic
 }  // namespace accltl

@@ -128,10 +128,6 @@ class PosFormula {
 /// the Qpre / Qpost operation of Example 2.2.
 PosFormulaPtr ShiftPlainSpace(const PosFormulaPtr& f, PredSpace target);
 
-/// Renames every variable v occurring (bound or free) to prefix+v.
-/// Used to rename formulas apart before combining them.
-PosFormulaPtr RenameVars(const PosFormulaPtr& f, const std::string& prefix);
-
 }  // namespace logic
 }  // namespace accltl
 

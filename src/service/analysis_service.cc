@@ -183,7 +183,31 @@ void PendingStep::Cancel() const {
 
 // --- AnalysisService --------------------------------------------------------
 
+const char* VerdictName(Verdict v) {
+  switch (v) {
+    case Verdict::kCompleted:
+      return "completed";
+    case Verdict::kDeadlineExceeded:
+      return "deadline-exceeded";
+    case Verdict::kCancelled:
+      return "cancelled";
+  }
+  return "?";
+}
+
 namespace {
+
+/// True when a response is safe to replay for a request with the same
+/// cache key: completed (not deadline-cut, not cancelled) and
+/// budget-clean. A deadline/cancel cut is a property of one request's
+/// execution, and a budget-exhausted answer is the one case the
+/// engines' determinism guarantee scopes out (a binding max_nodes is
+/// spent on different node orders per traversal discipline, so another
+/// worker count might legitimately answer differently).
+bool TransferableResponse(const CheckResponse& response) {
+  return response.status.ok() && response.verdict == Verdict::kCompleted &&
+         !response.decision.exhausted_budget && !response.decision.cancelled;
+}
 
 analysis::DecideOptions ToDecideOptions(const PrepareOptions& o) {
   analysis::DecideOptions d;
@@ -196,87 +220,12 @@ analysis::DecideOptions ToDecideOptions(const PrepareOptions& o) {
   return d;
 }
 
-/// Tier 0: byte-identical replay from the LRU result cache. Serves
-/// only exact canonical-key matches; admits every transferable
-/// response resolved below it — including semantic transfers, so a
-/// repeat of a semantically served request becomes a plain replay.
-class SyntacticCacheResolver : public AnswerResolver {
- public:
-  explicit SyntacticCacheResolver(LruCache<CheckResponse>* cache)
-      : cache_(cache) {}
-
-  const char* name() const override { return "syntactic-cache"; }
-
-  bool Resolve(const PreparedQuery& query, const ResolveContext& ctx,
-               CheckResponse* out) override {
-    if (!ctx.request->use_cache) return false;
-    const ServiceMetrics& metrics = ServiceMetrics::Get();
-    if (cache_->Lookup(query.cache_key(), out)) {
-      out->cache_hit = true;
-      out->source = AnswerSource::kSyntacticCache;
-      out->provenance = "syntactic-cache";
-      metrics.cache_hits->Inc();
-      return true;
-    }
-    metrics.cache_misses->Inc();
-    return false;
-  }
-
-  void Admit(const PreparedQuery& query, const ResolveContext& ctx,
-             const CheckResponse& response) override {
-    // Only completed, budget-clean responses are cacheable: a
-    // deadline/cancel cut is a property of one request's execution, and
-    // a budget-exhausted answer is the one case the engines'
-    // determinism guarantee scopes out (a binding max_nodes is spent on
-    // different node orders per traversal discipline, so another worker
-    // count might legitimately answer differently).
-    if (!ctx.request->use_cache || !TransferableResponse(response)) return;
-    CheckResponse cached = response;
-    cached.cache_hit = false;
-    size_t evicted = cache_->Insert(query.cache_key(), std::move(cached));
-    if (evicted > 0) ServiceMetrics::Get().cache_evictions->Inc(evicted);
-  }
-
- private:
-  LruCache<CheckResponse>* cache_;
-};
-
 }  // namespace
-
-/// The terminal tier: a full engine search. At namespace scope (not
-/// anonymous) so the friend declaration in AnalysisService matches;
-/// the body defers to AnalysisService::RunEngine, which reaches the
-/// prepared state through the existing PreparedQuery friendship.
-class EngineResolver : public AnswerResolver {
- public:
-  explicit EngineResolver(AnalysisService* service) : service_(service) {}
-
-  const char* name() const override { return "engine"; }
-
-  bool Resolve(const PreparedQuery& query, const ResolveContext& ctx,
-               CheckResponse* out) override {
-    *out = service_->RunEngine(query, *ctx.request, ctx.token);
-    return true;
-  }
-
- private:
-  AnalysisService* service_;
-};
 
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(options),
       cache_(options.cache_capacity),
       sessions_(options.session) {
-  if (options_.semantic_cache_capacity > 0) {
-    semantic_cache_ =
-        std::make_unique<SemanticCache>(options_.semantic_cache_capacity);
-  }
-  pipeline_.AddTier(std::make_unique<SyntacticCacheResolver>(&cache_));
-  if (semantic_cache_ != nullptr) {
-    pipeline_.AddTier(
-        std::make_unique<SemanticCacheResolver>(semantic_cache_.get()));
-  }
-  pipeline_.AddTier(std::make_unique<EngineResolver>(this));
   size_t dispatchers = std::max<size_t>(1, options_.num_dispatchers);
   dispatchers_.reserve(dispatchers);
   for (size_t i = 0; i < dispatchers; ++i) {
@@ -315,8 +264,6 @@ Result<std::shared_ptr<const PreparedQuery>> AnalysisService::Prepare(
   prepared->options_ = options;
   prepared->cache_key_ =
       MakeCanonicalRequestKey(*prepared->schema_, formula, options).Joined();
-  prepared->semantic_key_ =
-      MakeSemanticKey(*prepared->schema_, formula, options);
   return std::shared_ptr<const PreparedQuery>(std::move(prepared));
 }
 
@@ -465,10 +412,21 @@ CheckResponse AnalysisService::Execute(const PreparedQuery& prepared,
     }
   };
 
-  ResolveContext ctx;
-  ctx.request = &request;
-  ctx.token = token;
-  CheckResponse resp = pipeline_.Answer(prepared, ctx);
+  if (request.use_cache) {
+    CheckResponse hit;
+    if (cache_.Lookup(prepared.cache_key(), &hit)) {
+      metrics.cache_hits->Inc();
+      hit.cache_hit = true;
+      stamp(&hit);
+      return hit;
+    }
+    metrics.cache_misses->Inc();
+  }
+  CheckResponse resp = RunEngine(prepared, request, token);
+  if (request.use_cache && TransferableResponse(resp)) {
+    size_t evicted = cache_.Insert(prepared.cache_key(), resp);
+    if (evicted > 0) metrics.cache_evictions->Inc(evicted);
+  }
   stamp(&resp);
   return resp;
 }
@@ -477,9 +435,6 @@ CheckResponse AnalysisService::RunEngine(const PreparedQuery& prepared,
                                          const CheckRequest& request,
                                          engine::CancelToken* token) {
   CheckResponse resp;
-  resp.source = AnswerSource::kEngine;
-  resp.provenance = "engine";
-
   if (request.deadline.count() > 0 && token != nullptr) {
     token->ArmDeadlineAfter(request.deadline);
   }

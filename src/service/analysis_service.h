@@ -18,10 +18,8 @@
 #include "src/engine/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/schema/schema.h"
-#include "src/service/answer_pipeline.h"
 #include "src/service/canonical.h"
 #include "src/service/result_cache.h"
-#include "src/service/semantic_cache.h"
 #include "src/session/session_manager.h"
 
 namespace accltl {
@@ -53,13 +51,72 @@ struct ServiceOptions {
   size_t num_dispatchers = 1;
   /// Result-cache capacity in entries (0 disables caching entirely).
   size_t cache_capacity = 256;
-  /// Semantic (containment-based) cache capacity in donor entries.
-  /// 0 — the default — disables the semantic tier entirely: the
-  /// pipeline is then syntactic cache → engine, byte-identical to the
-  /// pre-tiered behavior.
-  size_t semantic_cache_capacity = 0;
   /// Streaming-session table bounds (DESIGN.md §10).
   session::SessionManagerOptions session;
+};
+
+/// Why a submission finished.
+enum class Verdict {
+  /// The engines ran to their natural end (including budget cuts —
+  /// those are reported through Decision::exhausted_budget).
+  kCompleted,
+  /// The request's deadline fired mid-search. The Decision is kUnknown
+  /// unless a sound witness was already in hand — never a wrong
+  /// definitive answer.
+  kDeadlineExceeded,
+  /// PendingResult::Cancel (or service shutdown) stopped the request.
+  kCancelled,
+};
+
+const char* VerdictName(Verdict v);
+
+/// Per-submission knobs. Semantic options live in the PreparedQuery;
+/// a request only chooses execution context.
+struct CheckRequest {
+  /// Wall-clock budget; <= 0 means none. Enforced cooperatively at
+  /// node-expansion granularity by the three search engines. The two
+  /// non-search stages — the Datalog certification pipeline and
+  /// witness shrinking — are not cancellable: the token is polled at
+  /// their boundaries (a fired token skips the pipeline), but once
+  /// started they run to completion, so with
+  /// `use_datalog_pipeline`/`shrink_witness` a response can outlast
+  /// the deadline by one pipeline run.
+  std::chrono::milliseconds deadline{0};
+  /// Serve this request from the result cache and insert its answer
+  /// there. False neither reads nor fills the cache.
+  bool use_cache = true;
+  /// Search workers; 0 uses ServiceOptions::num_threads. Never part of
+  /// the cache key: results are deterministic in the worker count.
+  size_t num_threads = 0;
+  /// Visited-set storage for this request's searches (exact records
+  /// vs. tree-compressed indices, engine/cancel.h). Never part of the
+  /// cache key: the mode changes no verdict, witness, or node count —
+  /// only memory footprint. A cache hit's Decision memory statistics
+  /// therefore describe the execution that populated the cache, which
+  /// may have used the other mode.
+  engine::VisitedMode visited_mode = engine::VisitedMode::kExact;
+  /// Byte budget over the visited set (0 = unlimited; see
+  /// ExecOptions::max_visited_bytes). A binding budget reports
+  /// exhausted_budget, and such responses are never cached — the same
+  /// exclusion as a binding max_nodes.
+  size_t max_visited_bytes = 0;
+};
+
+struct CheckResponse {
+  /// Non-OK when the underlying decision procedure failed (unsupported
+  /// fragment setup errors etc.); `decision` is then default-initialized.
+  Status status;
+  analysis::Decision decision;
+  Verdict verdict = Verdict::kCompleted;
+  /// True when this response was replayed from the result cache. The
+  /// decision is byte-identical to the response cached at insert,
+  /// which may have come from a request against a renamed schema (the
+  /// key is name-free, DESIGN.md §9); its statistics (nodes, visited
+  /// bytes) describe that execution.
+  bool cache_hit = false;
+  /// Wall-clock from submission pickup to completion (cache hits
+  /// report their lookup time).
+  std::chrono::microseconds elapsed{0};
 };
 
 /// One streamed access/response step against an open session.
@@ -87,17 +144,11 @@ class PreparedQuery {
   acc::Fragment fragment() const { return prepared_.fragment; }
   bool uses_inequality() const { return prepared_.uses_inequality; }
   const PrepareOptions& options() const { return options_; }
-  /// Canonical identity: serialized schema + formula text + semantic
+  /// Canonical identity (MakeCanonicalRequestKey(...).Joined()): the
+  /// name-canonicalized schema and formula texts plus the semantic
   /// options. Two PreparedQuery instances with equal keys answer every
-  /// request identically (the basis of the syntactic result cache).
+  /// request identically, so the result cache keys on it.
   const std::string& cache_key() const { return cache_key_; }
-  /// The semantic-tier identity: name-canonicalized texts plus the
-  /// shape fingerprint that indexes the containment cache.
-  const SemanticKey& semantic_key() const { return semantic_key_; }
-  /// True when this query routes to the zero-ary solver — the complete
-  /// engine, whose kNo answers may transfer semantically (the other
-  /// engines' kNo is bound- or certification-scoped).
-  bool zero_routed() const { return prepared_.zero_plan != nullptr; }
 
  private:
   friend class AnalysisService;
@@ -108,7 +159,6 @@ class PreparedQuery {
   std::unique_ptr<const schema::Schema> schema_;
   analysis::PreparedFormula prepared_;
   PrepareOptions options_;
-  SemanticKey semantic_key_;
   std::string cache_key_;
 };
 
@@ -259,20 +309,12 @@ class AnalysisService {
   uint64_t cache_hits() const { return cache_.hits(); }
   uint64_t cache_misses() const { return cache_.misses(); }
   uint64_t cache_evictions() const { return cache_.evictions(); }
-  /// Coherent one-lock snapshot of the syntactic cache counters.
+  /// Coherent one-lock snapshot of the result cache counters.
   LruCache<CheckResponse>::Stats cache_stats() const {
     return cache_.stats();
   }
-  /// Semantic-tier counters (all zero when the tier is disabled).
-  SemanticCache::Stats semantic_stats() const {
-    return semantic_cache_ ? semantic_cache_->stats()
-                           : SemanticCache::Stats{};
-  }
-  /// The request path, exposed read-only: tier 0 is consulted first.
-  const AnswerPipeline& pipeline() const { return pipeline_; }
 
  private:
-  friend class EngineResolver;
   /// One queued submission — either a full check (state) or a session
   /// step (step_state); exactly one is non-null. States are created
   /// complete inside Submit/SubmitStep (type-erased deleters), so
@@ -297,24 +339,19 @@ class AnalysisService {
   session::StepResult ExecuteStep(session::SessionId id,
                                   const StepRequest& request,
                                   engine::CancelToken* token);
-  /// Stamps metrics/verdict around one pipeline walk.
+  /// Result-cache lookup, else RunEngine and cache the answer when it
+  /// may be replayed; stamps metrics and elapsed time.
   CheckResponse Execute(const PreparedQuery& prepared,
                         const CheckRequest& request,
                         engine::CancelToken* token);
-  /// The terminal tier's body: a full engine search (zero-ary solver,
-  /// bounded witness search, or Datalog certification, per routing).
+  /// A full engine search (zero-ary solver, bounded witness search, or
+  /// Datalog certification, per routing).
   CheckResponse RunEngine(const PreparedQuery& prepared,
                           const CheckRequest& request,
                           engine::CancelToken* token);
 
   ServiceOptions options_;
   LruCache<CheckResponse> cache_;
-  /// Null when ServiceOptions::semantic_cache_capacity == 0.
-  std::unique_ptr<SemanticCache> semantic_cache_;
-  /// Tier order: syntactic cache → semantic cache (optional) → engine.
-  /// Owns its resolvers; built once in the constructor, immutable
-  /// thereafter (safe to walk from all dispatchers).
-  AnswerPipeline pipeline_;
 
   /// Streaming-session table; lives above the queue members so the
   /// destructor's dispatcher join (which may be mid-step) happens

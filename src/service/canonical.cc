@@ -1,10 +1,7 @@
 #include "src/service/canonical.h"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
-#include "src/logic/predicate.h"
 #include "src/schema/text_format.h"
 
 namespace accltl {
@@ -19,66 +16,6 @@ void KeyField(std::string* key, const char* name, uint64_t value) {
   key->push_back('=');
   key->append(std::to_string(value));
   key->push_back(';');
-}
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void HashBytes(uint64_t* h, const void* data, size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
-void HashString(uint64_t* h, const std::string& s) {
-  HashBytes(h, s.data(), s.size());
-  HashBytes(h, "\x1f", 1);
-}
-
-/// Appends the temporal skeleton of `f` — operators only, atom
-/// contents elided — and collects each atom's predicate profile into
-/// `preds`. The skeleton string distinguishes operator kinds and
-/// child counts, so only structurally parallel formulas share it.
-void WalkSkeleton(const acc::AccPtr& f, const schema::Schema& schema,
-                  std::string* skeleton,
-                  std::vector<std::tuple<int, int, int>>* preds) {
-  switch (f->kind()) {
-    case acc::AccKind::kAtom: {
-      skeleton->push_back('a');
-      for (const logic::PredicateRef& p : f->sentence()->Predicates()) {
-        preds->emplace_back(static_cast<int>(p.space), p.id,
-                            logic::PredicateArity(p, schema));
-      }
-      return;
-    }
-    case acc::AccKind::kNot:
-      skeleton->push_back('!');
-      WalkSkeleton(f->child(), schema, skeleton, preds);
-      return;
-    case acc::AccKind::kNext:
-      skeleton->push_back('X');
-      WalkSkeleton(f->child(), schema, skeleton, preds);
-      return;
-    case acc::AccKind::kUntil:
-      skeleton->append("U(");
-      WalkSkeleton(f->lhs(), schema, skeleton, preds);
-      skeleton->push_back(',');
-      WalkSkeleton(f->rhs(), schema, skeleton, preds);
-      skeleton->push_back(')');
-      return;
-    case acc::AccKind::kAnd:
-    case acc::AccKind::kOr:
-      skeleton->push_back(f->kind() == acc::AccKind::kAnd ? '&' : '|');
-      skeleton->push_back('(');
-      for (const acc::AccPtr& c : f->children()) {
-        WalkSkeleton(c, schema, skeleton, preds);
-        skeleton->push_back(',');
-      }
-      skeleton->push_back(')');
-      return;
-  }
 }
 
 }  // namespace
@@ -122,9 +59,10 @@ std::string CanonicalRequestKey::Joined() const {
 CanonicalRequestKey MakeCanonicalRequestKey(const schema::Schema& schema,
                                             const acc::AccPtr& formula,
                                             const PrepareOptions& options) {
+  schema::Schema canonical = CanonicalizeSchemaNames(schema);
   CanonicalRequestKey key;
-  key.schema_text = schema::SerializeSchema(schema);
-  key.formula_text = formula->ToString(schema);
+  key.schema_text = schema::SerializeSchema(canonical);
+  key.formula_text = formula->ToString(canonical);
   key.options_text = CanonicalOptionsKey(options);
   return key;
 }
@@ -142,40 +80,6 @@ schema::Schema CanonicalizeSchemaNames(const schema::Schema& schema) {
                               method.idempotent, method.result_bound);
   }
   return canonical;
-}
-
-SemanticKey MakeSemanticKey(const schema::Schema& schema,
-                            const acc::AccPtr& formula,
-                            const PrepareOptions& options) {
-  SemanticKey key;
-  schema::Schema canonical = CanonicalizeSchemaNames(schema);
-  key.schema_text = schema::SerializeSchema(canonical);
-  key.formula_text = formula->ToString(canonical);
-  key.options_text = CanonicalOptionsKey(options);
-  // Prepared queries keep their key for life: drop the append slack.
-  key.schema_text.shrink_to_fit();
-  key.formula_text.shrink_to_fit();
-  key.options_text.shrink_to_fit();
-
-  std::string skeleton;
-  std::vector<std::tuple<int, int, int>> preds;
-  WalkSkeleton(formula, canonical, &skeleton, &preds);
-  // Sorted multiset: variable renamings, join permutations and
-  // variable identifications leave it unchanged, so such variants
-  // fingerprint identically.
-  std::sort(preds.begin(), preds.end());
-
-  uint64_t h = kFnvOffset;
-  HashString(&h, key.schema_text);
-  HashString(&h, key.options_text);
-  HashString(&h, skeleton);
-  for (const auto& [space, id, arity] : preds) {
-    HashBytes(&h, &space, sizeof(space));
-    HashBytes(&h, &id, sizeof(id));
-    HashBytes(&h, &arity, sizeof(arity));
-  }
-  key.fingerprint = h;
-  return key;
 }
 
 }  // namespace service

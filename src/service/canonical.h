@@ -1,7 +1,6 @@
 #ifndef ACCLTL_SERVICE_CANONICAL_H_
 #define ACCLTL_SERVICE_CANONICAL_H_
 
-#include <cstdint>
 #include <string>
 
 #include "src/accltl/formula.h"
@@ -30,16 +29,19 @@ struct PrepareOptions {
 /// Renders every semantic knob as "name=value;" in a pinned field
 /// order. Every knob that can change an answer must appear here (a
 /// missed knob would alias two requests with different answers onto
-/// one cache line); tests/canonical_key_test.cc pins the exact order
-/// so the syntactic and semantic cache tiers can never drift apart.
+/// one cache line); tests/canonical_key_test.cc pins the exact order.
 std::string CanonicalOptionsKey(const PrepareOptions& options);
 
-/// The canonical identity of a prepared request, assembled in one
-/// place and shared by both cache tiers. Two requests with equal keys
-/// answer every submission identically — the basis of the syntactic
-/// result cache.
+/// The canonical identity of a prepared request: the result cache's
+/// key. The schema and formula are rendered against
+/// CanonicalizeSchemaNames(schema), so the key carries every arity,
+/// position type, input-position set and exact/idempotent/result-bound
+/// promise but no relation or method name. Two requests with equal
+/// keys answer every submission identically: an answer depends on
+/// what a schema's relations and methods are, never on what they are
+/// called (DESIGN.md §9).
 struct CanonicalRequestKey {
-  /// schema::SerializeSchema of the prepared (copied) schema.
+  /// schema::SerializeSchema of the name-canonicalized schema.
   std::string schema_text;
   /// The formula rendered against that schema.
   std::string formula_text;
@@ -59,34 +61,12 @@ CanonicalRequestKey MakeCanonicalRequestKey(const schema::Schema& schema,
 
 /// Rebuilds `schema` with positional names ("R0", "R1", … for
 /// relations; "M0", "M1", … for methods) while keeping every id,
-/// arity, position type, input-position set and exact/idempotent
-/// promise unchanged. Two schemas that differ only in relation/method
-/// names canonicalize to equal serializations; every formula AST
-/// (which refers to predicates by id) remains valid against the
-/// canonicalized schema.
+/// arity, position type, input-position set and exact/idempotent/
+/// result-bound promise unchanged. Two schemas that differ only in
+/// relation/method names canonicalize to equal serializations; every
+/// formula AST (which refers to predicates by id) remains valid
+/// against the canonicalized schema.
 schema::Schema CanonicalizeSchemaNames(const schema::Schema& schema);
-
-/// Shape identity of a request for the semantic tier's candidate
-/// index. The texts are rendered against the name-canonicalized
-/// schema, so two requests that differ only by relation/method names
-/// have byte-equal schema_text (and, when the ASTs match, byte-equal
-/// formula_text). The fingerprint hashes the schema signature plus the
-/// query shape — temporal skeleton and the sorted multiset of
-/// (space, id, arity) atom predicates — so variable-renamed,
-/// join-permuted and variable-identified variants of one query land in
-/// the same index bucket while unrelated queries almost never do.
-/// Equal fingerprints are a candidate filter, not an identity:
-/// the transfer rules re-check the full texts.
-struct SemanticKey {
-  std::string schema_text;
-  std::string formula_text;
-  std::string options_text;
-  uint64_t fingerprint = 0;
-};
-
-SemanticKey MakeSemanticKey(const schema::Schema& schema,
-                            const acc::AccPtr& formula,
-                            const PrepareOptions& options);
 
 }  // namespace service
 }  // namespace accltl

@@ -519,6 +519,23 @@ std::string DecisionKey(const analysis::Decision& d,
   return out.str();
 }
 
+/// `schema` with every relation and method name prefixed by "X"; ids,
+/// position types, inputs and promises unchanged, so every formula AST
+/// over `schema` stays valid against the result.
+schema::Schema PrefixNames(const schema::Schema& schema) {
+  schema::Schema renamed;
+  for (schema::RelationId r = 0; r < schema.num_relations(); ++r) {
+    renamed.AddRelation("X" + schema.relation(r).name,
+                        schema.relation(r).position_types);
+  }
+  for (schema::AccessMethodId m = 0; m < schema.num_access_methods(); ++m) {
+    const schema::AccessMethod& am = schema.method(m);
+    renamed.AddAccessMethod("X" + am.name, am.relation, am.input_positions,
+                            am.exact, am.idempotent, am.result_bound);
+  }
+  return renamed;
+}
+
 DiffOutcome RunServicePair(const FuzzCase& c) {
   analysis::DecideOptions oneshot_opts = OneShotOptions(c);
   engine::CancelToken oneshot_deadline;
@@ -587,6 +604,42 @@ DiffOutcome RunServicePair(const FuzzCase& c) {
   if (DecisionKey(first.decision, c.schema) != expected ||
       DecisionKey(second.decision, c.schema) != expected) {
     return Diverge("cached/async service decision differs from one-shot");
+  }
+
+  // The cache key is name-free: the same request against a renamed
+  // schema MUST replay from the warm cache, with the byte-identical
+  // decision a fresh one-shot search on the renamed schema produces.
+  schema::Schema renamed = PrefixNames(c.schema);
+  Result<std::shared_ptr<const service::PreparedQuery>> twin =
+      svc.Prepare(renamed, c.formula, popts);
+  if (!twin.ok()) {
+    return Diverge("service Prepare failed on renamed schema: " +
+                   twin.status().ToString());
+  }
+  service::CheckResponse replay = svc.Check(*twin.value(), req);
+  if (!replay.status.ok()) {
+    return Diverge("Check failed on renamed schema: " +
+                   replay.status.ToString());
+  }
+  if (!replay.cache_hit) {
+    return Diverge("renamed-schema request missed the result cache");
+  }
+  engine::CancelToken fresh_deadline;
+  oneshot_opts.exec = GuardedExec(&fresh_deadline);
+  Result<analysis::Decision> fresh =
+      analysis::DecideSatisfiability(c.formula, renamed, oneshot_opts);
+  if (!fresh.ok()) {
+    return Diverge("fresh decide failed on renamed schema: " +
+                   fresh.status().ToString());
+  }
+  if (fresh.value().cancelled || fresh.value().exhausted_budget) {
+    return Skip();
+  }
+  if (DecisionKey(replay.decision, renamed) !=
+      DecisionKey(fresh.value(), renamed)) {
+    return Diverge("renamed-schema cache replay differs from fresh search:\n"
+                   "  fresh : " + DecisionKey(fresh.value(), renamed) +
+                   "\n  replay: " + DecisionKey(replay.decision, renamed));
   }
   return Agree();
 }
@@ -673,16 +726,7 @@ DiffOutcome RunRenamePair(const FuzzCase& c) {
 
   // Relation/method renaming: ids are untouched, so the same AST must
   // produce the byte-identical decision.
-  schema::Schema renamed;
-  for (schema::RelationId r = 0; r < c.schema.num_relations(); ++r) {
-    renamed.AddRelation("X" + c.schema.relation(r).name,
-                        c.schema.relation(r).position_types);
-  }
-  for (schema::AccessMethodId m = 0; m < c.schema.num_access_methods(); ++m) {
-    const schema::AccessMethod& am = c.schema.method(m);
-    renamed.AddAccessMethod("X" + am.name, am.relation, am.input_positions,
-                            am.exact, am.idempotent, am.result_bound);
-  }
+  schema::Schema renamed = PrefixNames(c.schema);
   engine::CancelToken renamed_deadline;
   opts.exec = GuardedExec(&renamed_deadline);
   Result<analysis::Decision> renamed_d =
@@ -715,293 +759,6 @@ DiffOutcome RunRenamePair(const FuzzCase& c) {
       return Diverge(std::string("constant renaming flipped the verdict: ") +
                      analysis::AnswerName(base.value().satisfiable) + " -> " +
                      analysis::AnswerName(vr.value().satisfiable));
-    }
-  }
-  return Agree();
-}
-
-/// Rebuilds an AccLTL formula with `fn` applied to every atom
-/// sentence, keeping the temporal skeleton. Null when `fn` nulls any
-/// sentence.
-acc::AccPtr MapSentences(
-    const acc::AccPtr& f,
-    const std::function<PosFormulaPtr(const PosFormulaPtr&)>& fn) {
-  switch (f->kind()) {
-    case acc::AccKind::kAtom: {
-      PosFormulaPtr s = fn(f->sentence());
-      return s == nullptr ? nullptr : acc::AccFormula::Atom(std::move(s));
-    }
-    case acc::AccKind::kNot: {
-      acc::AccPtr c = MapSentences(f->child(), fn);
-      return c == nullptr ? nullptr : acc::AccFormula::Not(std::move(c));
-    }
-    case acc::AccKind::kNext: {
-      acc::AccPtr c = MapSentences(f->child(), fn);
-      return c == nullptr ? nullptr : acc::AccFormula::Next(std::move(c));
-    }
-    case acc::AccKind::kUntil: {
-      acc::AccPtr l = MapSentences(f->lhs(), fn);
-      acc::AccPtr r = MapSentences(f->rhs(), fn);
-      if (l == nullptr || r == nullptr) return nullptr;
-      return acc::AccFormula::Until(std::move(l), std::move(r));
-    }
-    case acc::AccKind::kAnd:
-    case acc::AccKind::kOr: {
-      std::vector<acc::AccPtr> children;
-      for (const acc::AccPtr& c : f->children()) {
-        acc::AccPtr r = MapSentences(c, fn);
-        if (r == nullptr) return nullptr;
-        children.push_back(std::move(r));
-      }
-      return f->kind() == acc::AccKind::kAnd
-                 ? acc::AccFormula::And(std::move(children))
-                 : acc::AccFormula::Or(std::move(children));
-    }
-  }
-  return nullptr;
-}
-
-/// Substitutes variable `from` by `to` throughout, stopping at any
-/// EXISTS that rebinds `from` (shadowing).
-PosFormulaPtr SubstVar(const PosFormulaPtr& f, const std::string& from,
-                       const std::string& to) {
-  auto sub = [&](const logic::Term& t) {
-    return t.is_var() && t.var_name() == from ? logic::Term::Var(to) : t;
-  };
-  switch (f->kind()) {
-    case NodeKind::kTrue:
-    case NodeKind::kFalse:
-      return f;
-    case NodeKind::kAtom: {
-      std::vector<logic::Term> terms;
-      for (const logic::Term& t : f->terms()) terms.push_back(sub(t));
-      return PosFormula::MakeAtom(f->pred(), std::move(terms));
-    }
-    case NodeKind::kEq:
-      return PosFormula::Eq(sub(f->lhs()), sub(f->rhs()));
-    case NodeKind::kNeq:
-      return PosFormula::Neq(sub(f->lhs()), sub(f->rhs()));
-    case NodeKind::kAnd:
-    case NodeKind::kOr: {
-      std::vector<PosFormulaPtr> children;
-      for (const PosFormulaPtr& c : f->children()) {
-        children.push_back(SubstVar(c, from, to));
-      }
-      return f->kind() == NodeKind::kAnd ? PosFormula::And(std::move(children))
-                                         : PosFormula::Or(std::move(children));
-    }
-    case NodeKind::kExists: {
-      for (const std::string& v : f->bound_vars()) {
-        if (v == from) return f;
-      }
-      return PosFormula::Exists(f->bound_vars(),
-                                SubstVar(f->body(), from, to));
-    }
-  }
-  return f;
-}
-
-/// The sentence with its first two top-level bound variables
-/// identified (x := y): the same predicate multiset and temporal
-/// skeleton — hence the same semantic fingerprint — but a logically
-/// stronger (or equal) sentence. Null when the sentence has fewer than
-/// two top-level bound variables.
-PosFormulaPtr IdentifyTwoVars(const PosFormulaPtr& s) {
-  if (s->kind() != NodeKind::kExists || s->bound_vars().size() < 2) {
-    return nullptr;
-  }
-  const std::string& from = s->bound_vars()[0];
-  const std::string& to = s->bound_vars()[1];
-  std::vector<std::string> rest(s->bound_vars().begin() + 1,
-                                s->bound_vars().end());
-  return PosFormula::Exists(std::move(rest), SubstVar(s->body(), from, to));
-}
-
-/// The `semantic` pair: the tiered service's containment-based cache
-/// against a fresh full search. A donor request seeds the semantic
-/// cache; then three derived requests probe each transfer rule:
-///
-///   A. schema renamed ("X" prefix), same AST — MUST hit (rule
-///      renamed; candidate keys are name-canonicalized) with the
-///      byte-identical DecisionKey a fresh search produces;
-///   B. every sentence variable-renamed — logically identical, so a
-///      hit (rule equivalent; not required — tractability caps may
-///      fall through) must match the fresh verdict, with a sound
-///      witness;
-///   C. two bound variables identified in one sentence — strictly
-///      stronger query with the SAME fingerprint, so it lands in the
-///      donor's candidate bucket; any hit must match the fresh ground
-///      truth (this is the probe that catches a transfer rule applied
-///      in the unsound direction).
-DiffOutcome RunSemanticPair(const FuzzCase& c) {
-  analysis::DecideOptions oneshot_opts = OneShotOptions(c);
-  engine::CancelToken donor_deadline;
-  oneshot_opts.exec = GuardedExec(&donor_deadline);
-  Result<analysis::Decision> oneshot =
-      analysis::DecideSatisfiability(c.formula, c.schema, oneshot_opts);
-  if (!oneshot.ok()) {
-    if (oneshot.status().code() == StatusCode::kUnsupported) return Skip();
-    return Diverge("one-shot decide failed: " + oneshot.status().ToString());
-  }
-  if (oneshot.value().cancelled || oneshot.value().exhausted_budget) {
-    return Skip();  // such a donor is never admitted to either cache
-  }
-
-  service::ServiceOptions sopts;
-  sopts.cache_capacity = 64;
-  sopts.semantic_cache_capacity = 64;
-  service::AnalysisService svc(sopts);
-  service::PrepareOptions popts;
-  popts.grounded = c.grounded;
-  popts.zero = ZeroOpts();
-  popts.bounded = BoundedOpts();
-  service::CheckRequest req;
-  req.deadline = kEngineDeadline;
-
-  Result<std::shared_ptr<const service::PreparedQuery>> donor =
-      svc.Prepare(c.schema, c.formula, popts);
-  if (!donor.ok()) {
-    return Diverge("service Prepare failed where one-shot succeeded: " +
-                   donor.status().ToString());
-  }
-  service::CheckResponse seeded = svc.Check(*donor.value(), req);
-  if (!seeded.status.ok()) {
-    return Diverge("donor Check failed: " + seeded.status.ToString());
-  }
-  if (seeded.verdict != service::Verdict::kCompleted ||
-      seeded.decision.exhausted_budget) {
-    return Skip();
-  }
-
-  // Variant A: relation/method names prefixed, identical AST.
-  schema::Schema renamed;
-  for (schema::RelationId r = 0; r < c.schema.num_relations(); ++r) {
-    renamed.AddRelation("X" + c.schema.relation(r).name,
-                        c.schema.relation(r).position_types);
-  }
-  for (schema::AccessMethodId m = 0; m < c.schema.num_access_methods(); ++m) {
-    const schema::AccessMethod& am = c.schema.method(m);
-    renamed.AddAccessMethod("X" + am.name, am.relation, am.input_positions,
-                            am.exact, am.idempotent, am.result_bound);
-  }
-  Result<std::shared_ptr<const service::PreparedQuery>> va =
-      svc.Prepare(renamed, c.formula, popts);
-  if (!va.ok()) {
-    return Diverge("Prepare failed on renamed schema: " +
-                   va.status().ToString());
-  }
-  service::CheckResponse ra = svc.Check(*va.value(), req);
-  if (!ra.status.ok()) {
-    return Diverge("Check failed on renamed schema: " + ra.status.ToString());
-  }
-  if (ra.source != service::AnswerSource::kSemanticCache) {
-    return Diverge(
-        std::string("renamed-schema request missed the semantic cache "
-                    "(answered by ") +
-        service::AnswerSourceName(ra.source) + ")");
-  }
-  engine::CancelToken fresh_a_deadline;
-  oneshot_opts.exec = GuardedExec(&fresh_a_deadline);
-  Result<analysis::Decision> fresh_a =
-      analysis::DecideSatisfiability(c.formula, renamed, oneshot_opts);
-  if (!fresh_a.ok()) {
-    return Diverge("fresh decide failed on renamed schema: " +
-                   fresh_a.status().ToString());
-  }
-  if (!fresh_a.value().cancelled && !fresh_a.value().exhausted_budget &&
-      DecisionKey(ra.decision, renamed) !=
-          DecisionKey(fresh_a.value(), renamed)) {
-    return Diverge("semantic renamed-transfer differs from fresh search:\n"
-                   "  fresh   : " +
-                   DecisionKey(fresh_a.value(), renamed) +
-                   "\n  semantic: " + DecisionKey(ra.decision, renamed));
-  }
-
-  // Variant B: per-sentence variable renaming (logically identical).
-  acc::AccPtr var_renamed = MapSentences(c.formula, [](const PosFormulaPtr& s) {
-    return logic::RenameVars(s, "vr_");
-  });
-  if (var_renamed != nullptr) {
-    Result<std::shared_ptr<const service::PreparedQuery>> vb =
-        svc.Prepare(c.schema, var_renamed, popts);
-    if (vb.ok()) {
-      service::CheckResponse rb = svc.Check(*vb.value(), req);
-      if (!rb.status.ok()) {
-        return Diverge("Check failed on variable-renamed formula: " +
-                       rb.status.ToString());
-      }
-      if (rb.source == service::AnswerSource::kSemanticCache) {
-        if (rb.decision.has_witness) {
-          std::string bad =
-              CheckWitnessSound(var_renamed, c.schema, rb.decision.witness,
-                                c.grounded, "semantic-transfer");
-          if (!bad.empty()) return Diverge(bad);
-        }
-        engine::CancelToken fresh_b_deadline;
-        oneshot_opts.exec = GuardedExec(&fresh_b_deadline);
-        Result<analysis::Decision> fresh_b =
-            analysis::DecideSatisfiability(var_renamed, c.schema,
-                                           oneshot_opts);
-        if (!fresh_b.ok()) {
-          return Diverge("fresh decide failed on variable-renamed formula: " +
-                         fresh_b.status().ToString());
-        }
-        if (!fresh_b.value().cancelled && !fresh_b.value().exhausted_budget &&
-            rb.decision.satisfiable != fresh_b.value().satisfiable) {
-          return Diverge(
-              std::string(
-                  "semantic equivalent-transfer verdict differs from fresh: "
-                  "semantic=") +
-              analysis::AnswerName(rb.decision.satisfiable) +
-              " fresh=" + analysis::AnswerName(fresh_b.value().satisfiable));
-        }
-      }
-    }
-  }
-
-  // Variant C: identify two bound variables in the first sentence that
-  // has them — same fingerprint, strictly stronger query.
-  bool identified = false;
-  acc::AccPtr strong = MapSentences(c.formula, [&](const PosFormulaPtr& s) {
-    if (identified) return s;
-    PosFormulaPtr t = IdentifyTwoVars(s);
-    if (t == nullptr) return s;
-    identified = true;
-    return t;
-  });
-  if (identified && strong != nullptr) {
-    // Ground truth first: identification can merge differently-typed
-    // variables into an ill-typed formula — every engine rejects such
-    // a variant, so a rejection is "no variant", not a divergence.
-    engine::CancelToken fresh_c_deadline;
-    oneshot_opts.exec = GuardedExec(&fresh_c_deadline);
-    Result<analysis::Decision> fresh_c =
-        analysis::DecideSatisfiability(strong, c.schema, oneshot_opts);
-    Result<std::shared_ptr<const service::PreparedQuery>> vc =
-        fresh_c.ok() ? svc.Prepare(c.schema, strong, popts)
-                     : fresh_c.status();
-    if (vc.ok()) {
-      service::CheckResponse rc = svc.Check(*vc.value(), req);
-      if (!rc.status.ok()) {
-        return Diverge("Check failed on variable-identified formula: " +
-                       rc.status.ToString());
-      }
-      if (rc.source == service::AnswerSource::kSemanticCache) {
-        if (rc.decision.has_witness) {
-          std::string bad =
-              CheckWitnessSound(strong, c.schema, rc.decision.witness,
-                                c.grounded, "semantic-transfer");
-          if (!bad.empty()) return Diverge(bad);
-        }
-        if (!fresh_c.value().cancelled && !fresh_c.value().exhausted_budget &&
-            rc.decision.satisfiable != fresh_c.value().satisfiable) {
-          return Diverge(
-              std::string("semantic transfer to a variable-identified "
-                          "(stronger) query differs from fresh: semantic=") +
-              analysis::AnswerName(rc.decision.satisfiable) +
-              " fresh=" + analysis::AnswerName(fresh_c.value().satisfiable));
-        }
-      }
     }
   }
   return Agree();
@@ -1388,8 +1145,8 @@ const std::vector<std::string>& EnginePairs() {
   static const std::vector<std::string> kPairs = {
       "oracle-zero", "oracle-automata", "zero-automata",
       "service",     "compact",         "rename",
-      "budget",      "lts",             "semantic",
-      "session",     "bounded"};
+      "budget",      "lts",             "session",
+      "bounded"};
   return kPairs;
 }
 
@@ -1462,8 +1219,7 @@ Result<FuzzCase> GenerateCase(const std::string& pair, uint64_t seed) {
   // or the guarded-Until-nest family.
   bool nary = pair == "oracle-automata" ||
               ((pair == "service" || pair == "compact" ||
-                pair == "semantic" || pair == "session" ||
-                pair == "bounded") &&
+                pair == "session" || pair == "bounded") &&
                rng.Chance(1, 3));
   int depth = 1 + static_cast<int>(rng.Uniform(2));
   if (rng.Chance(1, 3)) {
@@ -1480,7 +1236,7 @@ Result<FuzzCase> GenerateCase(const std::string& pair, uint64_t seed) {
   // solver's grounded sweep is documented pool-relative, which would
   // make oracle-side "found a witness" reports spurious).
   if (pair == "service" || pair == "compact" || pair == "rename" ||
-      pair == "budget" || pair == "semantic") {
+      pair == "budget") {
     c.grounded = rng.Chance(1, 4);
   }
   // The streaming pair replays a random access stream drawn against a
@@ -1502,7 +1258,6 @@ DiffOutcome RunCase(const FuzzCase& c) {
   if (c.pair == "rename") return RunRenamePair(c);
   if (c.pair == "budget") return RunBudgetPair(c);
   if (c.pair == "lts") return RunLtsPair(c);
-  if (c.pair == "semantic") return RunSemanticPair(c);
   if (c.pair == "session") return RunSessionPair(c);
   if (c.pair == "bounded") return RunBoundedPair(c);
   return Diverge("unknown engine pair: " + c.pair);

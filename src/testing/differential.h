@@ -33,7 +33,10 @@ namespace testing {
 ///                    on formulas both accept (binding-positive 0-ary).
 ///   service          AnalysisService (prepared, async, cached, 1/2/8
 ///                    threads) vs one-shot DecideSatisfiability:
-///                    byte-identical decisions.
+///                    byte-identical decisions; the request against an
+///                    "X"-renamed schema must then replay from the warm
+///                    result cache with the decision a fresh search on
+///                    the renamed schema produces.
 ///   compact          VisitedMode::kCompact (tree-compressed visited
 ///                    storage, 1/2/8 threads) vs kExact: byte-identical
 ///                    verdicts, witnesses and node counts, plus
@@ -46,14 +49,6 @@ namespace testing {
 ///   lts              OracleExploreLts vs schema::ExploreBreadthFirst
 ///                    (1 and 2 workers): identical level statistics,
 ///                    plus universe value-renaming invariance.
-///   semantic         The tiered service's containment-based cache vs a
-///                    fresh full search: a donor request seeds the
-///                    cache, then a schema-renamed twin MUST transfer
-///                    byte-identically, and variable-renamed /
-///                    variable-identified variants that hit the cache
-///                    must match the fresh verdict (with sound
-///                    witnesses) — any transfer rule applied in an
-///                    unsound direction diverges here.
 ///   bounded          Result-bounded schemas (methods with `bound k`,
 ///                    k ∈ {1,2,3}): the routed engine's decision is
 ///                    byte-identical at 1/2/8 workers, engine

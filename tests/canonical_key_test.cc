@@ -1,18 +1,19 @@
 // Pins the canonical request key (src/service/canonical.h): the exact
-// options-key field order, the Joined() layout the syntactic cache
-// keys on, the name-canonicalization used by the semantic tier, and
-// the shape-fingerprint invariances (schema renaming, variable
-// renaming, conjunct permutation) the semantic index relies on.
+// options-key field order, the Joined() layout the result cache keys
+// on, and the name-canonicalization that makes the key name-free. A
+// renamed schema must give an equal key; changing any non-name field
+// of a schema must give a different one.
 //
-// The options-key literal below is deliberately brittle: the syntactic
-// and semantic tiers both embed this string in their identities, so a
-// silent reorder (or a dropped field) would alias requests with
-// different answers onto one cache line. Adding a NEW field is fine —
-// extend the literal here in the same change.
+// The options-key literal below is deliberately brittle: a silent
+// reorder (or a dropped field) would alias requests with different
+// answers onto one cache line. Adding a NEW field is fine — extend the
+// literal here in the same change.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/accltl/parser.h"
 #include "src/schema/text_format.h"
@@ -25,9 +26,7 @@ namespace {
 using service::CanonicalOptionsKey;
 using service::CanonicalRequestKey;
 using service::MakeCanonicalRequestKey;
-using service::MakeSemanticKey;
 using service::PrepareOptions;
-using service::SemanticKey;
 
 class CanonicalKeyTest : public ::testing::Test {
  protected:
@@ -39,21 +38,41 @@ class CanonicalKeyTest : public ::testing::Test {
     return r.ok() ? r.value() : acc::AccFormula::False();
   }
 
-  /// The phone-directory schema with every relation/method name
-  /// prefixed; ids, arities and input positions unchanged.
-  schema::Schema RenamedSchema() const {
-    schema::Schema renamed;
+  /// The phone-directory schema rebuilt after `edit` has changed its
+  /// relations and methods.
+  schema::Schema Edited(
+      const std::function<void(std::vector<schema::Relation>*,
+                               std::vector<schema::AccessMethod>*)>& edit)
+      const {
+    std::vector<schema::Relation> relations;
+    std::vector<schema::AccessMethod> methods;
     for (schema::RelationId r = 0; r < pd_.schema.num_relations(); ++r) {
-      renamed.AddRelation("X" + pd_.schema.relation(r).name,
-                          pd_.schema.relation(r).position_types);
+      relations.push_back(pd_.schema.relation(r));
     }
     for (schema::AccessMethodId m = 0; m < pd_.schema.num_access_methods();
          ++m) {
-      const schema::AccessMethod& am = pd_.schema.method(m);
-      renamed.AddAccessMethod("X" + am.name, am.relation, am.input_positions,
-                              am.exact, am.idempotent, am.result_bound);
+      methods.push_back(pd_.schema.method(m));
     }
-    return renamed;
+    edit(&relations, &methods);
+    schema::Schema out;
+    for (const schema::Relation& r : relations) {
+      out.AddRelation(r.name, r.position_types);
+    }
+    for (const schema::AccessMethod& am : methods) {
+      out.AddAccessMethod(am.name, am.relation, am.input_positions, am.exact,
+                          am.idempotent, am.result_bound);
+    }
+    return out;
+  }
+
+  /// The phone-directory schema with every relation/method name
+  /// prefixed; ids, arities and input positions unchanged.
+  schema::Schema RenamedSchema() const {
+    return Edited([](std::vector<schema::Relation>* relations,
+                     std::vector<schema::AccessMethod>* methods) {
+      for (schema::Relation& r : *relations) r.name = "X" + r.name;
+      for (schema::AccessMethod& am : *methods) am.name = "X" + am.name;
+    });
   }
 
   workload::PhoneDirectory pd_;
@@ -94,8 +113,9 @@ TEST_F(CanonicalKeyTest, JoinedIsSchemaNewlineFormulaNewlineOptions) {
       Parse("F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)]", pd_.schema);
   PrepareOptions o;
   CanonicalRequestKey key = MakeCanonicalRequestKey(pd_.schema, f, o);
-  EXPECT_EQ(key.schema_text, schema::SerializeSchema(pd_.schema));
-  EXPECT_EQ(key.formula_text, f->ToString(pd_.schema));
+  schema::Schema canon = service::CanonicalizeSchemaNames(pd_.schema);
+  EXPECT_EQ(key.schema_text, schema::SerializeSchema(canon));
+  EXPECT_EQ(key.formula_text, f->ToString(canon));
   EXPECT_EQ(key.options_text, CanonicalOptionsKey(o));
   EXPECT_EQ(key.Joined(), key.schema_text + "\n" + key.formula_text + "\n" +
                               key.options_text);
@@ -117,6 +137,8 @@ TEST_F(CanonicalKeyTest, CanonicalizeSchemaNamesIsPositionalAndIdStable) {
               pd_.schema.method(m).input_positions);
     EXPECT_EQ(canon.method(m).exact, pd_.schema.method(m).exact);
     EXPECT_EQ(canon.method(m).idempotent, pd_.schema.method(m).idempotent);
+    EXPECT_EQ(canon.method(m).result_bound,
+              pd_.schema.method(m).result_bound);
   }
   // Renaming a schema changes nothing the canonicalization keeps:
   // byte-equal serializations.
@@ -126,71 +148,59 @@ TEST_F(CanonicalKeyTest, CanonicalizeSchemaNamesIsPositionalAndIdStable) {
             schema::SerializeSchema(canon_renamed));
 }
 
-TEST_F(CanonicalKeyTest, FingerprintInvariantUnderSchemaRenaming) {
-  const char kFormula[] = "F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)]";
+TEST_F(CanonicalKeyTest, RenamedSchemaGivesAnEqualKey) {
   PrepareOptions o;
-  SemanticKey base = MakeSemanticKey(pd_.schema, Parse(kFormula, pd_.schema), o);
+  std::string base =
+      MakeCanonicalRequestKey(
+          pd_.schema,
+          Parse("F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)]", pd_.schema), o)
+          .Joined();
   schema::Schema renamed = RenamedSchema();
-  SemanticKey ren = MakeSemanticKey(
-      renamed, Parse("F [EXISTS n,p,s,ph . XMobile_post(n,p,s,ph)]", renamed),
-      o);
-  EXPECT_EQ(base.fingerprint, ren.fingerprint);
-  EXPECT_EQ(base.schema_text, ren.schema_text);
-  EXPECT_EQ(base.formula_text, ren.formula_text);
+  std::string twin =
+      MakeCanonicalRequestKey(
+          renamed,
+          Parse("F [EXISTS n,p,s,ph . XMobile_post(n,p,s,ph)]", renamed), o)
+          .Joined();
+  EXPECT_EQ(base, twin);
+  // No name of either schema survives into the key.
+  EXPECT_EQ(base.find("Mobile"), std::string::npos);
+  EXPECT_EQ(base.find("AcM"), std::string::npos);
 }
 
-TEST_F(CanonicalKeyTest, FingerprintInvariantUnderVariableRenaming) {
+TEST_F(CanonicalKeyTest, EachNonNameSchemaFieldChangesTheKey) {
+  // One AST for every variant: it refers to predicates by id, and no
+  // edit below changes an arity or a method's input count.
+  acc::AccPtr f = Parse(
+      "F [EXISTS n . IsBind_AcM1(n) AND (EXISTS s,p,h . Address_pre(s,p,n,h))]",
+      pd_.schema);
   PrepareOptions o;
-  SemanticKey a = MakeSemanticKey(
-      pd_.schema, Parse("F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)]",
-                        pd_.schema),
-      o);
-  SemanticKey b = MakeSemanticKey(
-      pd_.schema, Parse("F [EXISTS a,b,c,d . Mobile_post(a,b,c,d)]",
-                        pd_.schema),
-      o);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  // The canonical texts differ (variable names render), which is
-  // exactly why the semantic tier needs a shape fingerprint rather
-  // than the syntactic key.
-  EXPECT_NE(a.formula_text, b.formula_text);
-}
-
-TEST_F(CanonicalKeyTest, FingerprintInvariantUnderConjunctPermutation) {
-  PrepareOptions o;
-  SemanticKey a = MakeSemanticKey(
-      pd_.schema,
-      Parse("F [(EXISTS n . IsBind_AcM1(n)) AND "
-            "(EXISTS n,p,s,ph . Mobile_post(n,p,s,ph))]",
-            pd_.schema),
-      o);
-  SemanticKey b = MakeSemanticKey(
-      pd_.schema,
-      Parse("F [(EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)) AND "
-            "(EXISTS n . IsBind_AcM1(n))]",
-            pd_.schema),
-      o);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-}
-
-TEST_F(CanonicalKeyTest, FingerprintSensitiveToOptionsAndShape) {
-  acc::AccPtr f =
-      Parse("F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)]", pd_.schema);
-  PrepareOptions o;
-  SemanticKey base = MakeSemanticKey(pd_.schema, f, o);
-  PrepareOptions tweaked = o;
-  tweaked.zero.max_nodes = o.zero.max_nodes + 1;
-  EXPECT_NE(base.fingerprint,
-            MakeSemanticKey(pd_.schema, f, tweaked).fingerprint);
-  // Different predicate multiset -> different shape.
-  SemanticKey other = MakeSemanticKey(
-      pd_.schema, Parse("F [IsBind_AcM2()]", pd_.schema), o);
-  EXPECT_NE(base.fingerprint, other.fingerprint);
-  // Different temporal skeleton over the same atom.
-  SemanticKey next = MakeSemanticKey(
-      pd_.schema,
-      Parse("X F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)]", pd_.schema), o);
-  EXPECT_NE(base.fingerprint, next.fingerprint);
+  std::string base = MakeCanonicalRequestKey(pd_.schema, f, o).Joined();
+  using Relations = std::vector<schema::Relation>;
+  using Methods = std::vector<schema::AccessMethod>;
+  struct Edit {
+    const char* field;
+    std::function<void(Relations*, Methods*)> apply;
+  };
+  const Edit edits[] = {
+      {"position type",
+       [](Relations* r, Methods*) {
+         (*r)[0].position_types[3] = ValueType::kString;
+       }},
+      {"input set",
+       [](Relations*, Methods* m) { (*m)[0].input_positions = {1}; }},
+      {"exact", [](Relations*, Methods* m) { (*m)[0].exact = true; }},
+      {"idempotent",
+       [](Relations*, Methods* m) { (*m)[0].idempotent = true; }},
+      {"result_bound",
+       [](Relations*, Methods* m) { (*m)[0].result_bound = 2; }},
+      {"method relation",
+       [](Relations*, Methods* m) { (*m)[0].relation = 1; }},
+  };
+  for (const Edit& e : edits) {
+    schema::Schema variant = Edited(e.apply);
+    EXPECT_NE(MakeCanonicalRequestKey(variant, f, o).Joined(), base)
+        << e.field;
+  }
 }
 
 }  // namespace

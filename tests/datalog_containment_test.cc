@@ -1,16 +1,11 @@
 // Standalone coverage for src/datalog/containment.cc's UCQ-level
-// forms: DlUcqContained, the renaming-witness equivalences, and their
-// agreement with ContainedInPositive / UnfoldToUcq on non-recursive
-// programs. Mirrors tests/logic_containment_test.cc on the Datalog
-// side — the semantic cache tier leans on both.
+// forms: DlUcqContained and its agreement with ContainedInPositive /
+// UnfoldToUcq on non-recursive programs. Mirrors
+// tests/logic_containment_test.cc on the Datalog side.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/datalog/containment.h"
 #include "src/datalog/program.h"
@@ -23,28 +18,6 @@ namespace {
 logic::Term V(const std::string& v) { return logic::Term::Var(v); }
 logic::Term C(const std::string& c) {
   return logic::Term::Const(Value::Str(c));
-}
-
-/// Applies a witness renaming to every atom of `a` and compares to
-/// `b`'s atoms as multisets — the definition of witness validity.
-void ExpectWitnessMapsAtoms(const DlCq& a, const DlCq& b,
-                            const std::map<std::string, std::string>& w) {
-  std::vector<DlAtom> renamed;
-  for (const DlAtom& atom : a.atoms) {
-    DlAtom out = atom;
-    for (logic::Term& t : out.terms) {
-      if (t.is_var()) {
-        auto it = w.find(t.var_name());
-        ASSERT_TRUE(it != w.end()) << "unmapped variable " << t.var_name();
-        t = V(it->second);
-      }
-    }
-    renamed.push_back(out);
-  }
-  std::vector<DlAtom> expected = b.atoms;
-  std::sort(renamed.begin(), renamed.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(renamed, expected);
 }
 
 TEST(DlUcqContainedTest, HomomorphismDirectionality) {
@@ -65,89 +38,26 @@ TEST(DlUcqContainedTest, UnionAndConstants) {
   EXPECT_FALSE(DlUcqContained(any, just_a));
 }
 
-TEST(DlCqEquivalentUpToRenamingTest, WitnessIgnoresAtomOrder) {
+TEST(DlUcqContainedTest, AtomOrderAndVariableNamesDoNotMatter) {
   DlCq a{{{"e", {V("x"), V("y")}}, {"s", {V("x")}}}};
   DlCq b{{{"s", {V("u")}}, {"e", {V("u"), V("w")}}}};
-  std::optional<std::map<std::string, std::string>> w =
-      DlCqEquivalentUpToRenaming(a, b);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(w->size(), 2u);
-  EXPECT_EQ(w->at("x"), "u");
-  EXPECT_EQ(w->at("y"), "w");
-  ExpectWitnessMapsAtoms(a, b, *w);
-  // Symmetric, and consistent with semantic equivalence.
-  EXPECT_TRUE(DlCqEquivalentUpToRenaming(b, a).has_value());
   EXPECT_TRUE(DlUcqContained({a}, {b}));
   EXPECT_TRUE(DlUcqContained({b}, {a}));
 }
 
-TEST(DlCqEquivalentUpToRenamingTest, SameShapeButInequivalent) {
-  // Equal predicate multisets, different join structure. No renaming,
-  // and no containment either way — the pair a fingerprint index
-  // cannot distinguish but the verifier must.
+TEST(DlUcqContainedTest, SameShapeButInequivalent) {
+  // Equal predicate multisets, different join structure: no
+  // containment either way.
   DlCq src{{{"e", {V("x"), V("y")}}, {"s", {V("x")}}}};
   DlCq dst{{{"e", {V("x"), V("y")}}, {"s", {V("y")}}}};
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(src, dst), std::nullopt);
   EXPECT_FALSE(DlUcqContained({src}, {dst}));
   EXPECT_FALSE(DlUcqContained({dst}, {src}));
-  // A 2-chain and a fork also admit no renaming, but the chain IS
-  // contained in the fork (the fork folds onto one edge) — renaming
-  // is strictly finer than containment, in exactly this way.
+  // A 2-chain is contained in a fork (the fork folds onto one edge),
+  // not conversely.
   DlCq chain{{{"e", {V("x"), V("y")}}, {"e", {V("y"), V("z")}}}};
   DlCq fork{{{"e", {V("x"), V("y")}}, {"e", {V("x"), V("z")}}}};
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(chain, fork), std::nullopt);
   EXPECT_TRUE(DlUcqContained({chain}, {fork}));
   EXPECT_FALSE(DlUcqContained({fork}, {chain}));
-}
-
-TEST(DlCqEquivalentUpToRenamingTest, ConstantsMustMatchExactly) {
-  DlCq pa{{{"e", {V("x"), C("a")}}}};
-  DlCq pa2{{{"e", {V("z"), C("a")}}}};
-  DlCq pb{{{"e", {V("z"), C("b")}}}};
-  std::optional<std::map<std::string, std::string>> w =
-      DlCqEquivalentUpToRenaming(pa, pa2);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(w->at("x"), "z");
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(pa, pb), std::nullopt);
-  // A constant is not a variable: e(x, a) vs e(x, y) is no renaming
-  // even though the shapes agree.
-  DlCq vv{{{"e", {V("x"), V("y")}}}};
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(pa, vv), std::nullopt);
-}
-
-TEST(DlCqEquivalentUpToRenamingTest, RenamingMustBeBijective) {
-  // {e(x,y)} vs {e(u,u)}: mapping x and y both to u is a fold, not a
-  // renaming — the queries are not even equivalent.
-  DlCq two{{{"e", {V("x"), V("y")}}}};
-  DlCq diag{{{"e", {V("u"), V("u")}}}};
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(two, diag), std::nullopt);
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(diag, two), std::nullopt);
-}
-
-TEST(DlCqEquivalentUpToRenamingTest, AtomCapAnswersDontKnow) {
-  DlCq a{{{"e", {V("x"), V("y")}}, {"s", {V("x")}}}};
-  EXPECT_TRUE(DlCqEquivalentUpToRenaming(a, a).has_value());
-  EXPECT_EQ(DlCqEquivalentUpToRenaming(a, a, /*max_atoms=*/1), std::nullopt);
-}
-
-TEST(DlUcqEquivalentUpToRenamingTest, MatchesDisjunctsOneToOne) {
-  DlCq d1{{{"s", {V("x")}}}};
-  DlCq d2{{{"e", {V("x"), V("y")}}}};
-  DlCq d1r{{{"s", {V("q")}}}};
-  DlCq d2r{{{"e", {V("m"), V("n")}}}};
-  std::vector<std::map<std::string, std::string>> witness;
-  // Disjunct order flipped on the right.
-  EXPECT_TRUE(DlUcqEquivalentUpToRenaming({d1, d2}, {d2r, d1r}, &witness));
-  ASSERT_EQ(witness.size(), 2u);
-  // Witnesses come back in lhs order: first for d1, then for d2.
-  EXPECT_EQ(witness[0].at("x"), "q");
-  EXPECT_EQ(witness[1].at("x"), "m");
-  EXPECT_EQ(witness[1].at("y"), "n");
-  // Mismatched disjunct counts never match.
-  EXPECT_FALSE(DlUcqEquivalentUpToRenaming({d1, d2}, {d1r}));
-  // Same count, one disjunct unmatched.
-  DlCq fork{{{"e", {V("x"), V("y")}}, {"e", {V("x"), V("z")}}}};
-  EXPECT_FALSE(DlUcqEquivalentUpToRenaming({d1, d2}, {d1r, fork}));
 }
 
 TEST(ContainedInPositiveTest, AgreesWithUnfoldingOnNonRecursive) {

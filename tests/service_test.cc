@@ -1,10 +1,12 @@
 // Service-layer tests: prepared-query reuse must return byte-identical
 // Decisions to the one-shot API across all three engines; deadlines
 // fire as kDeadlineExceeded (never a wrong definitive answer) at every
-// worker count; cache hits return the identical cached response;
-// cross-thread cancel unblocks a long sweep promptly; and the thread
-// knob is single-sourced (the engines' option structs carry no
-// per-engine copy a caller could leave mismatched).
+// worker count; cache hits return the identical cached response, a
+// renamed-schema twin hits too, and cut or budget-exhausted answers
+// are never cached; cross-thread cancel unblocks a long sweep
+// promptly; and the thread knob is single-sourced (the engines'
+// option structs carry no per-engine copy a caller could leave
+// mismatched).
 
 #include <gtest/gtest.h>
 
@@ -309,6 +311,107 @@ TEST_F(ServiceTest, CacheHitReturnsTheIdenticalCachedResponse) {
   ASSERT_TRUE(other.ok());
   CheckResponse fourth = svc.Check(*other.value(), CheckRequest{});
   EXPECT_FALSE(fourth.cache_hit);
+}
+
+TEST_F(ServiceTest, RenamedSchemaTwinReplaysFromTheCache) {
+  AnalysisService svc;
+  Result<std::shared_ptr<const PreparedQuery>> prepared =
+      svc.Prepare(pd_.schema, std::string(kZeroFormula));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  CheckResponse first = svc.Check(*prepared.value());
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.cache_hit);
+
+  // Every relation and method renamed; ids, types, inputs and
+  // promises unchanged. The cache key is name-free, so the twin hits.
+  schema::Schema renamed;
+  for (schema::RelationId r = 0; r < pd_.schema.num_relations(); ++r) {
+    renamed.AddRelation("X" + pd_.schema.relation(r).name,
+                        pd_.schema.relation(r).position_types);
+  }
+  for (schema::AccessMethodId m = 0; m < pd_.schema.num_access_methods();
+       ++m) {
+    const schema::AccessMethod& am = pd_.schema.method(m);
+    renamed.AddAccessMethod("X" + am.name, am.relation, am.input_positions,
+                            am.exact, am.idempotent, am.result_bound);
+  }
+  const std::string twin_text =
+      "F [EXISTS n,p,s,ph . XMobile_post(n,p,s,ph)] AND F [IsBind_XAcM2()]";
+  Result<std::shared_ptr<const PreparedQuery>> twin =
+      svc.Prepare(renamed, twin_text);
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  EXPECT_EQ(twin.value()->cache_key(), prepared.value()->cache_key());
+  CheckResponse hit = svc.Check(*twin.value());
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(svc.cache_stats().size, 1u);
+
+  // The replayed Decision is the one a fresh search on the renamed
+  // schema produces (its witness refers to methods by id).
+  Result<acc::AccPtr> twin_formula = acc::ParseAccFormula(twin_text, renamed);
+  ASSERT_TRUE(twin_formula.ok());
+  Result<analysis::Decision> fresh =
+      analysis::DecideSatisfiability(twin_formula.value(), renamed);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(DecisionKey(hit.decision, renamed),
+            DecisionKey(fresh.value(), renamed));
+}
+
+TEST_F(ServiceTest, NonTransferableResponsesAreNeverCached) {
+  AnalysisService svc;
+
+  // Deadline-cut: the wide idempotent sweep with an unbinding node
+  // budget cannot finish in 10ms.
+  service::PrepareOptions wide;
+  wide.zero.require_idempotent = true;
+  wide.zero.max_nodes = 100000000;
+  Result<std::shared_ptr<const PreparedQuery>> slow =
+      svc.Prepare(pd_.schema, std::string(kZeroWideUnsat), wide);
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  CheckRequest deadline;
+  deadline.deadline = std::chrono::milliseconds(10);
+  CheckResponse cut = svc.Check(*slow.value(), deadline);
+  ASSERT_TRUE(cut.status.ok()) << cut.status.ToString();
+  ASSERT_NE(cut.verdict, Verdict::kCompleted);
+  EXPECT_EQ(svc.cache_stats().size, 0u);
+
+  // Budget-exhausted: a one-node budget cannot complete the search.
+  service::PrepareOptions tiny;
+  tiny.zero.max_nodes = 1;
+  Result<std::shared_ptr<const PreparedQuery>> starved =
+      svc.Prepare(pd_.schema, std::string(kZeroFormula), tiny);
+  ASSERT_TRUE(starved.ok()) << starved.status().ToString();
+  CheckResponse exhausted = svc.Check(*starved.value());
+  ASSERT_TRUE(exhausted.status.ok()) << exhausted.status.ToString();
+  ASSERT_TRUE(exhausted.decision.exhausted_budget);
+  EXPECT_EQ(svc.cache_stats().size, 0u);
+  // A repeat searches again rather than replaying the cut answer.
+  EXPECT_FALSE(svc.Check(*starved.value()).cache_hit);
+}
+
+TEST_F(ServiceTest, UseCacheFalseNeitherReadsNorFillsTheCache) {
+  AnalysisService svc;
+  Result<std::shared_ptr<const PreparedQuery>> prepared =
+      svc.Prepare(pd_.schema, std::string(kZeroFormula));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  CheckRequest no_cache;
+  no_cache.use_cache = false;
+
+  CheckResponse fresh = svc.Check(*prepared.value(), no_cache);
+  ASSERT_TRUE(fresh.status.ok());
+  EXPECT_FALSE(fresh.cache_hit);
+  service::LruCache<CheckResponse>::Stats stats = svc.cache_stats();
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+
+  // Fill the cache, then opt out again: no hit is served.
+  ASSERT_FALSE(svc.Check(*prepared.value()).cache_hit);
+  ASSERT_EQ(svc.cache_stats().size, 1u);
+  CheckResponse bypass = svc.Check(*prepared.value(), no_cache);
+  EXPECT_FALSE(bypass.cache_hit);
+  EXPECT_EQ(svc.cache_stats().hits, 0u);
+  EXPECT_EQ(DecisionKey(bypass.decision, pd_.schema),
+            DecisionKey(fresh.decision, pd_.schema));
 }
 
 TEST_F(ServiceTest, LruCacheEvictsLeastRecentlyUsed) {

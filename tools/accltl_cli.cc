@@ -9,7 +9,6 @@
 //   accltl_cli check   <schema-file> <accltl-formula> [--grounded] [--shrink]
 //                      [--max-path-length N] [--max-nodes N]
 //                      [--threads N] [--visited=exact|compact]
-//                      [--semantic-cache=on|off]
 //   accltl_cli plan    <schema-file> <query> [head-var...]
 //   accltl_cli answer  <schema-file> <instance-file> <query>
 //                      [--seed value]... [--no-prune] [head-var...]
@@ -18,7 +17,7 @@
 //                      [--threads N] [--visited=exact|compact] [--strict]
 //   accltl_cli batch   <schema-file> <requests-file|-> [--grounded]
 //                      [--shrink] [--threads N] [--deadline-ms N] [--cache]
-//                      [--semantic-cache=on|off] [--visited=exact|compact]
+//                      [--visited=exact|compact]
 //   accltl_cli monitor <schema-file> <formula> <steps-file|->
 //                      [--initial FILE] [--deadline-ms N]
 //   accltl_cli fuzz    [--seeds N] [--seed-start S] [--engine-pair P]...
@@ -94,7 +93,7 @@ int Usage() {
       "  accltl_cli check   <schema-file> <formula> [--grounded] [--shrink]\n"
       "                     [--max-path-length N] [--max-nodes N]\n"
       "                     [--threads N] [--visited=exact|compact]\n"
-      "                     [--semantic-cache=on|off] [--trace-out FILE]\n"
+      "                     [--trace-out FILE]\n"
       "  accltl_cli plan    <schema-file> <query> [head-var...]\n"
       "  accltl_cli answer  <schema-file> <instance-file> <query>\n"
       "                     [--seed value]... [--no-prune] [head-var...]\n"
@@ -104,8 +103,7 @@ int Usage() {
       "                     [--strict] [--trace-out FILE]\n"
       "  accltl_cli batch   <schema-file> <requests-file|-> [--grounded]\n"
       "                     [--shrink] [--threads N] [--deadline-ms N]\n"
-      "                     [--cache] [--semantic-cache=on|off]\n"
-      "                     [--visited=exact|compact]\n"
+      "                     [--cache] [--visited=exact|compact]\n"
       "                     [--trace-out FILE] [--stats]\n"
       "  accltl_cli monitor <schema-file> <formula> <steps-file|->\n"
       "                     [--initial FILE] [--deadline-ms N]\n"
@@ -172,39 +170,6 @@ int ConsumeVisitedFlag(const char* sub, int argc, char** argv, int* i,
   }
   std::fprintf(stderr, "%s: --visited wants 'exact' or 'compact', got '%s'\n",
                sub, value);
-  return 2;
-}
-
-/// Parses the shared `--semantic-cache on|off` / `--semantic-cache=...`
-/// flag. Same protocol as ConsumeVisitedFlag: 1 = consumed, 0 = not
-/// this flag, 2 = bad/missing value (error already printed).
-int ConsumeSemanticFlag(const char* sub, int argc, char** argv, int* i,
-                        bool* out) {
-  const char* arg = argv[*i];
-  if (std::strncmp(arg, "--semantic-cache", 16) != 0) return 0;
-  const char* value = nullptr;
-  if (arg[16] == '=') {
-    value = arg + 17;
-  } else if (arg[16] == '\0') {
-    if (*i + 1 >= argc) {
-      MissingValue(sub, arg);
-      return 2;
-    }
-    value = argv[++*i];
-  } else {
-    return 0;  // some other --semantic-cache-xyz flag; caller rejects it
-  }
-  if (std::strcmp(value, "on") == 0) {
-    *out = true;
-    return 1;
-  }
-  if (std::strcmp(value, "off") == 0) {
-    *out = false;
-    return 1;
-  }
-  std::fprintf(stderr,
-               "%s: --semantic-cache wants 'on' or 'off', got '%s'\n", sub,
-               value);
   return 2;
 }
 
@@ -289,15 +254,11 @@ int RunCheck(int argc, char** argv) {
   }
   analysis::DecideOptions options;
   std::string trace_out;
-  bool semantic_cache = false;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--grounded") == 0) {
       options.grounded = true;
     } else if (std::strcmp(argv[i], "--shrink") == 0) {
       options.shrink_witness = true;
-    } else if (int c = ConsumeSemanticFlag("check", argc, argv, &i,
-                                           &semantic_cache)) {
-      if (c == 2) return 2;
     } else if (int c = ConsumeTraceFlag("check", argc, argv, &i,
                                         &trace_out)) {
       if (c == 2) return 2;
@@ -333,52 +294,14 @@ int RunCheck(int argc, char** argv) {
     }
   }
   if (!trace_out.empty()) obs::StartTracing();
-  analysis::Decision decision;
-  // With --semantic-cache=on the check routes through the tiered
-  // service pipeline (syntactic cache -> semantic containment cache ->
-  // engine) so the answer's provenance can be reported; the plain path
-  // calls the engines directly, byte-identical to before the flag
-  // existed.
-  if (semantic_cache) {
-    service::ServiceOptions sopts;
-    sopts.num_threads = options.exec.num_threads;
-    sopts.semantic_cache_capacity = 1024;
-    service::PrepareOptions prepare;
-    prepare.grounded = options.grounded;
-    prepare.shrink_witness = options.shrink_witness;
-    prepare.zero = options.zero;
-    prepare.bounded = options.bounded;
-    prepare.decompose = options.decompose;
-    service::AnalysisService svc(sopts);
-    Result<std::shared_ptr<const service::PreparedQuery>> p =
-        svc.Prepare(s.value(), f.value(), prepare);
-    if (!p.ok()) {
-      FinishTrace("check", trace_out);
-      std::fprintf(stderr, "decide: %s\n", p.status().ToString().c_str());
-      return 1;
-    }
-    service::CheckRequest request;
-    request.visited_mode = options.exec.visited_mode;
-    service::CheckResponse resp = svc.Check(*p.value(), request);
-    FinishTrace("check", trace_out);
-    if (!resp.status.ok()) {
-      std::fprintf(stderr, "decide: %s\n", resp.status.ToString().c_str());
-      return 1;
-    }
-    decision = resp.decision;
-    std::printf("answered-by: %s (%s)\n",
-                service::AnswerSourceName(resp.source),
-                resp.provenance.c_str());
-  } else {
-    Result<analysis::Decision> d =
-        analysis::DecideSatisfiability(f.value(), s.value(), options);
-    FinishTrace("check", trace_out);
-    if (!d.ok()) {
-      std::fprintf(stderr, "decide: %s\n", d.status().ToString().c_str());
-      return 1;
-    }
-    decision = d.value();
+  Result<analysis::Decision> d =
+      analysis::DecideSatisfiability(f.value(), s.value(), options);
+  FinishTrace("check", trace_out);
+  if (!d.ok()) {
+    std::fprintf(stderr, "decide: %s\n", d.status().ToString().c_str());
+    return 1;
   }
+  const analysis::Decision& decision = d.value();
   std::printf("fragment   : %s\n",
               acc::FragmentName(decision.fragment,
                                 decision.uses_inequality).c_str());
@@ -611,7 +534,6 @@ int RunBatch(int argc, char** argv) {
   engine::VisitedMode visited_mode = engine::VisitedMode::kExact;
   std::string trace_out;
   bool show_stats = false;
-  bool semantic_cache = false;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--grounded") == 0) {
       prepare.grounded = true;
@@ -627,9 +549,6 @@ int RunBatch(int argc, char** argv) {
       prepare.shrink_witness = true;
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       sopts.cache_capacity = 1024;
-    } else if (int c = ConsumeSemanticFlag("batch", argc, argv, &i,
-                                           &semantic_cache)) {
-      if (c == 2) return 2;
     } else if (std::strcmp(argv[i], "--threads") == 0 ||
                std::strcmp(argv[i], "--deadline-ms") == 0) {
       const char* flag = argv[i];
@@ -685,7 +604,6 @@ int RunBatch(int argc, char** argv) {
   // SetThreadLane is a no-op while tracing is off, so a later start
   // would leave the dispatcher lanes unnamed in the trace.
   if (!trace_out.empty()) obs::StartTracing();
-  if (semantic_cache) sopts.semantic_cache_capacity = 1024;
   service::AnalysisService svc(sopts);
   service::CheckRequest request;
   request.deadline = deadline;
@@ -737,30 +655,19 @@ int RunBatch(int argc, char** argv) {
       continue;
     }
     std::printf("[%zu] satisfiable=%s engine=%s verdict=%s ms=%.3f "
-                "nodes=%zu%s%s%s\n",
+                "nodes=%zu%s%s\n",
                 i, analysis::AnswerName(resp.decision.satisfiable),
                 resp.decision.engine.c_str(), VerdictName(resp.verdict),
                 static_cast<double>(resp.elapsed.count()) / 1000.0,
                 resp.decision.nodes_explored,
                 resp.decision.exhausted_budget ? " budget=exhausted" : "",
-                resp.cache_hit ? " cache=hit" : "",
-                resp.source == service::AnswerSource::kSemanticCache
-                    ? " semantic=hit"
-                    : "");
+                resp.cache_hit ? " cache=hit" : "");
   }
   if (sopts.cache_capacity > 0) {
     service::LruCache<service::CheckResponse>::Stats cs = svc.cache_stats();
     std::fprintf(stderr, "cache: %llu hits, %llu misses\n",
                  static_cast<unsigned long long>(cs.hits),
                  static_cast<unsigned long long>(cs.misses));
-  }
-  if (sopts.semantic_cache_capacity > 0) {
-    service::SemanticCache::Stats ss = svc.semantic_stats();
-    std::fprintf(stderr,
-                 "semantic: %llu hits, %llu misses, %zu donors\n",
-                 static_cast<unsigned long long>(ss.hits),
-                 static_cast<unsigned long long>(ss.misses),
-                 ss.entries);
   }
   // End-of-run latency summary from the service's request-latency
   // histogram (log2 buckets: percentiles are bucket upper bounds,

@@ -9,9 +9,13 @@ different work, not that the CI box is slow. This script diffs a fresh
 ``--benchmark_out`` JSON against the checked-in baseline and fails on
 any watched counter that moved by more than the threshold (default
 25%, in either direction — deterministic counters have no benign
-direction). Counters absent from either side are ignored, so adding a
-new benchmark or a new counter never breaks the gate; the baseline
-simply gets regenerated when a change is intentional.
+direction). A watched counter that a baseline benchmark records but
+the same benchmark's current record lacks is a failure too: renaming or
+dropping a counter must not silently un-gate it. Benchmarks missing
+from the current run (filtered out or removed) and counters the
+baseline never recorded are ignored, so adding a new benchmark or a new
+counter never breaks the gate; the baseline simply gets regenerated
+when a change is intentional.
 
 Usage:
   bench_compare.py BASELINE.json CURRENT.json \
@@ -85,7 +89,13 @@ def main():
         if cur is None:
             continue  # benchmark removed or filtered out of this run
         for counter in watched:
-            if counter not in base or counter not in cur:
+            if counter not in base:
+                continue
+            if counter not in cur:
+                failures.append(
+                    f"  {name} {counter}: in the baseline, missing from "
+                    f"the current run"
+                )
                 continue
             old = float(base[counter])
             new = float(cur[counter])
