@@ -1,6 +1,6 @@
 // Provenance and the shared main for the benchmark binaries. Every
-// bench file records the project's own build type, compiler and CPU
-// count next to its numbers: google-benchmark's context reports the
+// bench file records the project's own build type, compiler, CPU count
+// and CPU model next to its numbers: google-benchmark's context reports the
 // *library's* build type and the host's CPU clock, which says nothing
 // about how the code under test was compiled.
 
@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,14 +28,31 @@
 namespace accltl {
 namespace bench {
 
+/// The first "model name" of /proc/cpuinfo, or "unknown" where there
+/// is none (non-Linux hosts, some ARM kernels).
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.compare(0, 10, "model name") != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    size_t begin = line.find_first_not_of(" \t", colon + 1);
+    if (begin == std::string::npos) break;
+    return line.substr(begin);
+  }
+  return "unknown";
+}
+
 /// (key, value) provenance pairs: accltl_build_type, accltl_compiler,
-/// nproc.
+/// nproc, cpu_model.
 inline std::vector<std::pair<std::string, std::string>> BuildContext() {
   std::string build_type = ACCLTL_BENCH_BUILD_TYPE;
   return {
       {"accltl_build_type", build_type.empty() ? "none" : build_type},
       {"accltl_compiler", ACCLTL_BENCH_COMPILER},
       {"nproc", std::to_string(std::thread::hardware_concurrency())},
+      {"cpu_model", CpuModel()},
   };
 }
 

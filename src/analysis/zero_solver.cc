@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <utility>
@@ -74,14 +75,11 @@ class ZeroPlan {
     uint32_t num_neg = 0;
   };
 
-  /// The abstraction's atoms (proposition id i ↔ atoms[i]). Each run
-  /// compiles them once (ZeroSolver::atoms_) rather than the plan: a
-  /// prepared query keeps its plan for life, and the compiled programs
-  /// (about 0.5 KB per plan) outweigh a compile per run.
+  /// The abstraction's atoms (proposition id i ↔ atoms[i]).
   std::vector<logic::PosFormulaPtr> atoms;
   /// The canonical-witness pool. Its values are interned at plan time
   /// (a few shared fresh values and the formula's constants); its facts
-  /// are interned only when a search first uses them (ZeroSolver::PoolId).
+  /// are interned only when a search first uses them (PoolId).
   std::vector<ZeroPoolFact> pool;
   std::vector<store::ValueId> pool_values;
 
@@ -108,7 +106,93 @@ class ZeroPlan {
   /// unsatisfiable sweep must report exhausted_budget (kUnknown), never
   /// a definitive "no".
   bool pool_fusion_truncated = false;
+
+  /// The search-side form of the fields above. A prepared query owns
+  /// its compiled state: the first search builds it (Searchable) and
+  /// every later search of the plan's life reuses it.
+  struct Compiled {
+    /// The atoms, compiled into one program (sentence i is atoms[i]).
+    logic::CompiledFormula atoms;
+    /// The candidate layout: per method, the pool facts it may reveal,
+    /// grouped by binding (their input-position projection), each group
+    /// a mask over pool indices. Method m's groups are
+    /// groups[method_groups[m], method_groups[m + 1]), in binding value
+    /// order.
+    std::vector<uint32_t> method_groups;
+    std::vector<uint64_t> groups;
+    /// Pool fact i's rank in tuple order: sorting a response's facts
+    /// by rank sorts them by tuple.
+    std::vector<uint8_t> tuple_rank;
+    /// Pool fact i's interned id (kNoFactId until a search first uses
+    /// it). Racing searches intern the same tuple to the same id.
+    std::unique_ptr<std::atomic<store::FactId>[]> pool_ids;
+  };
+
+  /// The compiled state, built on the first call. `schema` must be the
+  /// one the plan was prepared against (the layout reads its methods).
+  const Compiled& Searchable(const schema::Schema& schema) const {
+    std::call_once(compile_once_, [&] { Compile(schema); });
+    return compiled_;
+  }
+
+  /// The interned id of pool fact `i` (Searchable must have run).
+  store::FactId PoolId(size_t i) const {
+    std::atomic<store::FactId>& slot = compiled_.pool_ids[i];
+    store::FactId id = slot.load(std::memory_order_acquire);
+    if (id == store::kNoFactId) {
+      id = store::Store::Get().InternTuple(PoolTuple(i));
+      slot.store(id, std::memory_order_release);
+    }
+    return id;
+  }
+
+ private:
+  void Compile(const schema::Schema& schema) const;
+
+  mutable std::once_flag compile_once_;
+  mutable Compiled compiled_;
 };
+
+void ZeroPlan::Compile(const schema::Schema& schema) const {
+  Compiled& c = compiled_;
+  c.atoms = logic::CompiledFormula::Sentences(atoms);
+  c.method_groups.push_back(0);
+  for (schema::AccessMethodId m = 0; m < schema.num_access_methods(); ++m) {
+    const schema::AccessMethod& am = schema.method(m);
+    // std::map keys give the deterministic, value-sorted group order.
+    std::map<Tuple, uint64_t> by_binding;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i].relation != am.relation) continue;
+      if (pool[i].forced_method >= 0 &&
+          pool[i].forced_method != static_cast<int>(m)) {
+        continue;
+      }
+      Tuple b;
+      for (schema::Position p : am.input_positions) {
+        b.push_back(PoolValue(i, static_cast<size_t>(p)));
+      }
+      by_binding[std::move(b)] |= uint64_t{1} << i;
+    }
+    for (const auto& [binding, group] : by_binding) c.groups.push_back(group);
+    c.method_groups.push_back(static_cast<uint32_t>(c.groups.size()));
+  }
+  std::vector<uint8_t> by_tuple(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    by_tuple[i] = static_cast<uint8_t>(i);
+  }
+  std::stable_sort(by_tuple.begin(), by_tuple.end(),
+                   [&](uint8_t a, uint8_t b) {
+                     return PoolTuple(a) < PoolTuple(b);
+                   });
+  c.tuple_rank.resize(pool.size());
+  for (size_t r = 0; r < by_tuple.size(); ++r) {
+    c.tuple_rank[by_tuple[r]] = static_cast<uint8_t>(r);
+  }
+  c.pool_ids = std::make_unique<std::atomic<store::FactId>[]>(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    c.pool_ids[i].store(store::kNoFactId, std::memory_order_relaxed);
+  }
+}
 
 namespace {
 
@@ -117,6 +201,7 @@ using schema::AccessMethodId;
 using schema::RelationId;
 
 using PathLink = engine::PathLink<schema::AccessStep>;
+using engine::CmpChains;
 using engine::CmpPathKeys;
 
 /// A pool fact while the pool is built (ZeroPoolFact is its compact,
@@ -149,24 +234,6 @@ struct ZeroNode {
   /// pair(pair(facts_lo, facts_hi), set(tableau)).
   store::TreeRef ref = store::kNilTreeRef;
 };
-
-/// Root-to-node materialization of a bare chain (compact visited
-/// entries keep only the chain head).
-void MaterializeChain(const PathLink* head,
-                      std::vector<const PathLink*>* out) {
-  for (const PathLink* link = head; link != nullptr;
-       link = link->parent.get()) {
-    out->push_back(link);
-  }
-  std::reverse(out->begin(), out->end());
-}
-
-int CmpChains(const PathLink* a, const PathLink* b) {
-  std::vector<const PathLink*> va, vb;
-  MaterializeChain(a, &va);
-  MaterializeChain(b, &vb);
-  return CmpPathKeys(va, vb);
-}
 
 /// Rejects formulas outside the (constant-extended) 0-ary fragment.
 Status CheckZeroAry(const logic::PosFormulaPtr& f) {
@@ -394,18 +461,10 @@ class ZeroSolver {
         schema_(schema),
         options_(options),
         exec_(exec),
+        compiled_(plan.Searchable(schema)),
         workers_(std::max<size_t>(1, exec.num_threads)) {
     if (exec.visited_mode == engine::VisitedMode::kCompact) {
       compact_.emplace(64);
-    }
-    atoms_.reserve(plan.atoms.size());
-    for (const logic::PosFormulaPtr& atom : plan.atoms) {
-      atoms_.emplace_back(atom);
-    }
-    pool_ids_ = std::make_unique<std::atomic<store::FactId>[]>(
-        plan.pool.size());
-    for (size_t i = 0; i < plan.pool.size(); ++i) {
-      pool_ids_[i].store(store::kNoFactId, std::memory_order_relaxed);
     }
   }
 
@@ -420,23 +479,9 @@ class ZeroSolver {
  private:
   /// The letter of a candidate access: the truth of every atom, by id.
   std::vector<char> Letter(const logic::StructureView& view) const {
-    std::vector<char> letter(atoms_.size());
-    for (size_t i = 0; i < atoms_.size(); ++i) {
-      letter[i] = atoms_[i].Eval(view) ? 1 : 0;
-    }
+    std::vector<char> letter;
+    compiled_.atoms.EvalEach(view, &letter);
     return letter;
-  }
-
-  /// The interned id of pool fact `i`, resolved on first use in this
-  /// run. Plans intern only their pool's values: most plans' pools are
-  /// never searched in full, and the store never frees.
-  store::FactId PoolId(size_t i) {
-    store::FactId id = pool_ids_[i].load(std::memory_order_relaxed);
-    if (id == store::kNoFactId) {
-      id = store::Store::Get().InternTuple(plan_.PoolTuple(i));
-      pool_ids_[i].store(id, std::memory_order_relaxed);
-    }
-    return id;
   }
 
   // --- Engine plumbing (mirrors automata::BoundedWitnessSearch) -------------
@@ -801,31 +846,10 @@ class ZeroSolver {
     // synthesized bindings and grounded checks).
     schema::LazyActiveDomain domain(node.config);
 
+    // A group's pool facts this node has not injected yet.
+    std::vector<size_t> members;
     for (AccessMethodId m = 0; m < schema_.num_access_methods(); ++m) {
       const schema::AccessMethod& am = schema_.method(m);
-      std::vector<size_t> candidates;
-      for (size_t i = 0; i < plan_.pool.size(); ++i) {
-        if (node.facts & (uint64_t{1} << i)) continue;
-        if (plan_.pool[i].relation != am.relation) continue;
-        if (plan_.pool[i].forced_method >= 0 &&
-            plan_.pool[i].forced_method != static_cast<int>(m)) {
-          continue;
-        }
-        candidates.push_back(i);
-      }
-      // Group candidates by their binding (the input-position
-      // projection): only facts sharing a binding can form one
-      // response. std::map keys give a deterministic, value-sorted
-      // group order.
-      std::map<Tuple, std::vector<size_t>> groups;
-      for (size_t i : candidates) {
-        Tuple b;
-        for (schema::Position p : am.input_positions) {
-          b.push_back(plan_.PoolValue(i, static_cast<size_t>(p)));
-        }
-        groups[std::move(b)].push_back(i);
-      }
-
       size_t enumerated = 0;
       bool capped = false;
       // The empty response first: synthesize a binding (grounded mode
@@ -873,8 +897,22 @@ class ZeroSolver {
       if (am.bounded()) {
         max_k = std::min(max_k, static_cast<size_t>(am.result_bound));
       }
-      for (const auto& [binding, members] : groups) {
-        if (capped) break;
+      for (uint32_t g = compiled_.method_groups[m];
+           g < compiled_.method_groups[m + 1] && !capped; ++g) {
+        uint64_t group = compiled_.groups[g];
+        uint64_t live = group & ~node.facts;
+        if (live == 0) continue;
+        members.clear();
+        for (size_t i = 0; i < plan_.pool.size(); ++i) {
+          if (live >> i & 1) members.push_back(i);
+        }
+        // Every fact of the group has the binding; take its first's.
+        size_t first = 0;
+        while ((group >> first & 1) == 0) ++first;
+        Tuple binding;
+        for (schema::Position p : am.input_positions) {
+          binding.push_back(plan_.PoolValue(first, static_cast<size_t>(p)));
+        }
         if (options_.grounded) {
           bool ok = true;
           for (const Value& v : binding) {
@@ -937,12 +975,12 @@ class ZeroSolver {
     std::vector<size_t> in_order = chosen;
     if (in_order.size() > 1) {
       std::sort(in_order.begin(), in_order.end(), [&](size_t a, size_t b) {
-        return plan_.PoolTuple(a) < plan_.PoolTuple(b);
+        return compiled_.tuple_rank[a] < compiled_.tuple_rank[b];
       });
     }
     std::vector<store::FactId> response_ids;
     response_ids.reserve(in_order.size());
-    for (size_t i : in_order) response_ids.push_back(PoolId(i));
+    for (size_t i : in_order) response_ids.push_back(plan_.PoolId(i));
     ++*candidates;
 
     // Advance the tableau over this letter.
@@ -955,7 +993,7 @@ class ZeroSolver {
       for (uint32_t ei = plan_.state_edges[static_cast<size_t>(s)];
            ei < plan_.state_edges[static_cast<size_t>(s) + 1]; ++ei) {
         const ZeroPlan::Edge& e = plan_.edges[ei];
-        const int* lit = &plan_.lits[e.lits_begin];
+        const int* lit = plan_.lits.data() + e.lits_begin;
         bool match = true;
         for (uint32_t i = 0; i < e.num_pos + e.num_neg && match; ++i) {
           bool holds = letter[static_cast<size_t>(lit[i])] != 0;
@@ -984,15 +1022,11 @@ class ZeroSolver {
   const schema::Schema& schema_;
   const ZeroSolverOptions& options_;
   engine::ExecOptions exec_;
+  const ZeroPlan::Compiled& compiled_;
   size_t workers_;
   engine::ShardedVisitedTable<VisitedEntry> visited_{64};
   engine::BestPathTracker<schema::AccessStep> best_;
   std::atomic<bool> truncated_{false};
-  /// PoolId's per-run memo (kNoFactId: not yet resolved). Racing
-  /// workers resolve the same tuple to the same id.
-  std::unique_ptr<std::atomic<store::FactId>[]> pool_ids_;
-  /// The plan's atoms, compiled for this run.
-  std::vector<logic::CompiledFormula> atoms_;
 
   /// Compact-mode storage (see engine/cancel.h VisitedMode), engaged
   /// only under kCompact, and the byte accounting shared by both modes.

@@ -57,10 +57,13 @@ struct ZeroSolverResult {
 /// The prepared, options-independent state of the zero-ary engine:
 /// the Sch0−Acc abstraction, the Lemma 4.13 canonical-witness pool,
 /// and the finite-word LTL tableau of the propositional skeleton —
-/// everything that used to be rebuilt per call. Immutable once built;
-/// share one instance across any number of concurrent checks (with
+/// everything that used to be rebuilt per call. The first check also
+/// compiles the plan's search-side state (compiled atoms, candidate
+/// layout, pool-fact ids) into it, once, and every later check reuses
+/// it. Share one instance across any number of concurrent checks (with
 /// any grounded/idempotent/budget variation — those are search-time
-/// options). Opaque: defined in zero_solver.cc.
+/// options) against the schema it was prepared with. Opaque: defined
+/// in zero_solver.cc.
 class ZeroPlan;
 
 /// Builds the prepared state. Rejects formulas outside the

@@ -67,14 +67,6 @@ std::string Guard::ToString(const schema::Schema& schema) const {
   return Join(parts, " AND ");
 }
 
-std::vector<const ATransition*> AAutomaton::From(int s) const {
-  std::vector<const ATransition*> out;
-  for (const ATransition& t : transitions_) {
-    if (t.from == s) out.push_back(&t);
-  }
-  return out;
-}
-
 Status AAutomaton::Validate() const {
   if (initial_ < 0 || initial_ >= num_states_) {
     return Status::InvalidArgument("initial state out of range");

@@ -2,6 +2,8 @@
 #define ACCLTL_AUTOMATA_A_AUTOMATON_H_
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -82,9 +84,17 @@ struct ATransition {
   int to = 0;
 };
 
+/// The emptiness engine's compiled form of an automaton
+/// (automata/emptiness.cc).
+struct SearchPlan;
+
 /// An Access-automaton (Def. 4.3): finite control running over access
 /// paths; each path transition must satisfy the guard of the automaton
 /// transition taken.
+///
+/// The automaton owns its search plan: the first BoundedWitnessSearch
+/// builds it and later searches reuse it. The plan reads only the
+/// transitions, so copies share it and AddTransition drops it.
 class AAutomaton {
  public:
   AAutomaton() = default;
@@ -95,6 +105,11 @@ class AAutomaton {
   void SetInitial(int s) { initial_ = s; }
   void AddAccepting(int s) { accepting_.insert(s); }
   void AddTransition(int from, Guard guard, int to) {
+    // A fresh slot unless this one is unshared and still unbuilt (a
+    // moved-from automaton has none).
+    if (plan_.use_count() != 1 || plan_->plan != nullptr) {
+      plan_ = std::make_shared<PlanSlot>();
+    }
     transitions_.push_back(ATransition{from, std::move(guard), to});
   }
 
@@ -104,9 +119,6 @@ class AAutomaton {
   bool IsAccepting(int s) const { return accepting_.count(s) > 0; }
   const std::vector<ATransition>& transitions() const { return transitions_; }
 
-  /// Transitions leaving `s`.
-  std::vector<const ATransition*> From(int s) const;
-
   /// Checks Def. 4.3's well-formedness: state ids in range and no
   /// IsBind predicate inside the negated guard parts.
   Status Validate() const;
@@ -114,10 +126,19 @@ class AAutomaton {
   std::string ToString(const schema::Schema& schema) const;
 
  private:
+  /// The search plan, built under `once` by its first reader.
+  struct PlanSlot {
+    std::once_flag once;
+    std::shared_ptr<const SearchPlan> plan;
+  };
+  friend std::shared_ptr<const SearchPlan> PlanFor(
+      const AAutomaton& automaton, const schema::Schema& schema);
+
   int num_states_ = 0;
   int initial_ = 0;
   std::set<int> accepting_;
   std::vector<ATransition> transitions_;
+  std::shared_ptr<PlanSlot> plan_ = std::make_shared<PlanSlot>();
 };
 
 /// Does the automaton accept this access path (some run over all

@@ -4,11 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -437,35 +438,68 @@ class RealizationEnumerator {
   bool truncated_ = false;
 };
 
+}  // namespace
+
 /// The search-independent compilation of an automaton: normalized UCQ
 /// guards plus the speculative fact pool. Building it costs UCQ
-/// normalization and freezing per guard, so plans are cached across
-/// searches (memoized by a structural fingerprint of the automaton and
-/// schema — self-contained, no pointers into the inputs).
+/// normalization and freezing per guard, so the automaton owns it
+/// (PlanFor). External linkage: a_automaton.h forward-declares it.
 struct SearchPlan {
-  /// Pins of the automaton's guard formulas: while a plan is cached,
-  /// these shared_ptrs keep the formula addresses alive, which is what
-  /// makes pointer-identity plan keys sound (an address can only be
-  /// reused after the plan — and its key — is gone).
-  std::vector<logic::PosFormulaPtr> pinned_formulas;
+  /// The distinct positive guards, as UCQs. A compiled tableau repeats
+  /// each literal set on many edges; transitions whose ψ+ conjoins the
+  /// same formulas share one entry.
   std::vector<logic::Ucq> guards;
-  /// Per transition: the positive guard has a trivially-true disjunct
-  /// (no atoms, no inequalities), so ψ+ holds on *every* transition and
-  /// pool injection only needs to check ψ−.
+  /// Per distinct guard: it has a trivially-true disjunct (no atoms, no
+  /// inequalities), so ψ+ holds on *every* transition and pool
+  /// injection only needs to check ψ−.
   std::vector<bool> trivially_positive;
+  /// Per transition: its entry in `guards`.
+  std::vector<uint32_t> guard_of;
   std::vector<std::pair<RelationId, store::FactId>> pool;
   /// Factory state after pool freezing: searches must continue the
   /// fresh-value sequence to avoid colliding with pool values.
   logic::FreshValueFactory factory_after_pool;
+  /// All the build read of the schema: the position types of every
+  /// relation whose facts it froze.
+  std::vector<std::pair<RelationId, std::vector<ValueType>>> read_types;
+
+  /// True when `schema` agrees with the build's schema on everything
+  /// the build read, so the plan is the one `schema` would give.
+  bool BuiltFor(const schema::Schema& schema) const {
+    for (const auto& [rel, types] : read_types) {
+      if (rel >= schema.num_relations() ||
+          schema.relation(rel).position_types != types) {
+        return false;
+      }
+    }
+    return true;
+  }
 };
+
+namespace {
 
 std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
                                             const schema::Schema& schema) {
+  obs::Span span("prepare-plan");
+  WitnessMetrics::Get().plan_builds->Inc();
   auto plan = std::make_shared<SearchPlan>();
-  // Pre-normalize guards to UCQs.
+  // Pre-normalize guards to UCQs, once per distinct conjunction.
+  std::map<std::vector<const logic::PosFormula*>, uint32_t> distinct;
   for (const ATransition& t : automaton.transitions()) {
     logic::PosFormulaPtr pos =
         t.guard.positive ? t.guard.positive : logic::PosFormula::True();
+    std::vector<const logic::PosFormula*> conjuncts;
+    if (pos->kind() == logic::NodeKind::kAnd) {
+      for (const logic::PosFormulaPtr& c : pos->children()) {
+        conjuncts.push_back(c.get());
+      }
+    } else {
+      conjuncts.push_back(pos.get());
+    }
+    auto [it, fresh] = distinct.emplace(
+        std::move(conjuncts), static_cast<uint32_t>(plan->guards.size()));
+    plan->guard_of.push_back(it->second);
+    if (!fresh) continue;
     Result<logic::Ucq> ucq = logic::NormalizeToUcq(pos, {}, schema);
     plan->guards.push_back(ucq.ok() ? ucq.value() : logic::Ucq{});
     // Degenerate case: TRUE normalizes to one empty disjunct.
@@ -483,18 +517,23 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
     }
     plan->trivially_positive.push_back(trivial);
   }
+  plan->guards.shrink_to_fit();
   // Speculative fact pool: canonical (frozen) facts of every guard
   // disjunct. Guards often require facts in their *pre* structure
   // that only an earlier, unconstrained access can reveal; injecting
   // pool facts through permissive transitions realizes such paths.
+  // Freezing runs per transition, shared guards included, so every
+  // transition's guard contributes its own fresh facts.
   logic::FreshValueFactory factory;
-  for (const logic::Ucq& g : plan->guards) {
-    for (const logic::Cq& d : g.disjuncts) {
+  std::set<RelationId> read;
+  for (uint32_t g : plan->guard_of) {
+    for (const logic::Cq& d : plan->guards[g].disjuncts) {
       logic::Cq data_only;
       for (const logic::CqAtom& a : d.atoms) {
         if (a.pred.space == PredSpace::kPre ||
             a.pred.space == PredSpace::kPost) {
           data_only.atoms.push_back(a);
+          read.insert(a.pred.id);
         }
       }
       if (data_only.atoms.empty()) continue;
@@ -513,94 +552,27 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
     }
   }
   plan->factory_after_pool = factory;
-  for (const ATransition& t : automaton.transitions()) {
-    if (t.guard.positive) plan->pinned_formulas.push_back(t.guard.positive);
-    for (const logic::PosFormulaPtr& g : t.guard.negated) {
-      plan->pinned_formulas.push_back(g);
-    }
+  for (RelationId rel : read) {
+    plan->read_types.emplace_back(rel, schema.relation(rel).position_types);
   }
   return plan;
 }
 
-/// Structural key for the plan cache. Guard formulas are identified by
-/// address (sound: cached plans pin them — see pinned_formulas); the
-/// schema contributes its shape and names (schemas are append-only, so
-/// any change shows up in the counts/names).
-std::vector<uint64_t> PlanKey(const AAutomaton& automaton,
-                              const schema::Schema& schema) {
-  std::vector<uint64_t> key;
-  std::hash<std::string> str_hash;
-  key.push_back(reinterpret_cast<uintptr_t>(&schema));
-  key.push_back(static_cast<uint64_t>(schema.num_relations()));
-  key.push_back(static_cast<uint64_t>(schema.num_access_methods()));
-  for (RelationId r = 0; r < schema.num_relations(); ++r) {
-    const schema::Relation& rel = schema.relation(r);
-    key.push_back(str_hash(rel.name));
-    uint64_t types = rel.position_types.size();
-    for (ValueType t : rel.position_types) {
-      types = store::Mix64(types ^ static_cast<uint64_t>(t));
-    }
-    key.push_back(types);
-  }
-  for (AccessMethodId m = 0; m < schema.num_access_methods(); ++m) {
-    const schema::AccessMethod& am = schema.method(m);
-    uint64_t h = str_hash(am.name) ^ static_cast<uint64_t>(am.relation);
-    for (schema::Position p : am.input_positions) {
-      h = store::Mix64(h ^ static_cast<uint64_t>(p));
-    }
-    // Semantics-bearing method attributes: bounded/unbounded variants
-    // of one schema must never share a plan.
-    h = store::Mix64(h ^ static_cast<uint64_t>(am.result_bound + 1));
-    h = store::Mix64(h ^ ((am.exact ? 2u : 0u) | (am.idempotent ? 1u : 0u)));
-    key.push_back(h);
-  }
-  key.push_back(static_cast<uint64_t>(automaton.num_states()));
-  key.push_back(static_cast<uint64_t>(automaton.initial()));
-  for (int s : automaton.accepting()) {
-    key.push_back(static_cast<uint64_t>(static_cast<unsigned>(s)));
-  }
-  for (const ATransition& t : automaton.transitions()) {
-    key.push_back(static_cast<uint64_t>(static_cast<unsigned>(t.from)));
-    key.push_back(static_cast<uint64_t>(static_cast<unsigned>(t.to)));
-    key.push_back(reinterpret_cast<uintptr_t>(t.guard.positive.get()));
-    for (const logic::PosFormulaPtr& g : t.guard.negated) {
-      key.push_back(reinterpret_cast<uintptr_t>(g.get()));
-    }
-    key.push_back(0x2d);  // transition separator
-  }
-  return key;
-}
+}  // namespace
 
-struct PlanKeyHash {
-  size_t operator()(const std::vector<uint64_t>& key) const {
-    uint64_t h = store::Mix64(key.size());
-    for (uint64_t v : key) h = store::Mix64(h ^ v);
-    return static_cast<size_t>(h);
-  }
-};
-
-std::shared_ptr<const SearchPlan> GetPlan(const AAutomaton& automaton,
+/// The automaton's own plan, built by the first search; a search over
+/// a schema that disagrees with the build's gets a plan of its own.
+std::shared_ptr<const SearchPlan> PlanFor(const AAutomaton& automaton,
                                           const schema::Schema& schema) {
-  std::vector<uint64_t> key = PlanKey(automaton, schema);
-  static std::mutex mu;
-  static auto* cache =
-      new std::unordered_map<std::vector<uint64_t>,
-                             std::shared_ptr<const SearchPlan>, PlanKeyHash>();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
-  }
-  std::shared_ptr<const SearchPlan> plan;
-  {
-    obs::Span span("prepare-plan");
-    plan = BuildPlan(automaton, schema);
-    WitnessMetrics::Get().plan_builds->Inc();
-  }
-  std::lock_guard<std::mutex> lock(mu);
-  if (cache->size() >= 128) cache->clear();
-  return cache->emplace(std::move(key), std::move(plan)).first->second;
+  AAutomaton::PlanSlot* slot = automaton.plan_.get();
+  if (slot == nullptr) return BuildPlan(automaton, schema);  // moved-from
+  std::call_once(slot->once,
+                 [&] { slot->plan = BuildPlan(automaton, schema); });
+  if (slot->plan->BuiltFor(schema)) return slot->plan;
+  return BuildPlan(automaton, schema);
 }
+
+namespace {
 
 // --- Deterministic reduction order ------------------------------------------
 //
@@ -612,14 +584,17 @@ std::shared_ptr<const SearchPlan> GetPlan(const AAutomaton& automaton,
 // sections and the best-witness reduction, where rebuilding
 // value-by-value comparisons was the engine's contention point. The
 // order mentions no ids, no pointers and no interning artifacts, so it
-// is identical across runs and worker counts; the engine returns the
-// minimum accepting path under it — which is exactly the path a serial
-// depth-first search visits first when every node's children are
-// expanded in sorted order. The chain/compare/best-tracking machinery
-// is the generic `engine::PathLink` layer shared with the zero-ary
-// solver's engine port.
+// is identical across runs and worker counts, and it does not depend
+// on whether a search built its SearchPlan or reused the automaton's:
+// interning a plan's pool again yields the same facts. The engine
+// returns the minimum accepting path under it — which is exactly the
+// path a serial depth-first search visits first when every node's
+// children are expanded in sorted order. The chain/compare/
+// best-tracking machinery is the generic `engine::PathLink` layer
+// shared with the zero-ary solver's engine port.
 
 using PathLink = engine::PathLink<schema::AccessStep>;
+using engine::CmpChains;
 using engine::CmpPathKeys;
 
 /// One frontier node of the witness search.
@@ -648,25 +623,6 @@ struct SearchNode {
   std::vector<store::TreeRef> rel_refs;
 };
 
-/// Root-to-node materialization of a bare chain (compact visited
-/// entries keep only the chain head; comparisons walk it on the rare
-/// ref-equal collision instead of paying a per-entry pointer vector).
-void MaterializeChain(const PathLink* head,
-                      std::vector<const PathLink*>* out) {
-  for (const PathLink* link = head; link != nullptr;
-       link = link->parent.get()) {
-    out->push_back(link);
-  }
-  std::reverse(out->begin(), out->end());
-}
-
-int CmpChains(const PathLink* a, const PathLink* b) {
-  std::vector<const PathLink*> va, vb;
-  MaterializeChain(a, &va);
-  MaterializeChain(b, &vb);
-  return CmpPathKeys(va, vb);
-}
-
 /// Shared state of one BoundedWitnessSearch run.
 class Search {
  public:
@@ -678,7 +634,7 @@ class Search {
         options_(options),
         exec_(exec),
         initial_(initial),
-        plan_(GetPlan(automaton, schema)),
+        plan_(PlanFor(automaton, schema)),
         workers_(std::max<size_t>(1, exec.num_threads)) {
     if (exec.visited_mode == engine::VisitedMode::kCompact) {
       compact_.emplace(256);
@@ -1127,7 +1083,8 @@ class Search {
       if (at.from != node.state) continue;
       RealizationEnumerator en(schema_, node.config, options_,
                                node.fresh_base, &view, &domain);
-      for (const logic::Cq& disjunct : plan_->guards[ti].disjuncts) {
+      const uint32_t guard = plan_->guard_of[ti];
+      for (const logic::Cq& disjunct : plan_->guards[guard].disjuncts) {
         en.ForEach(disjunct, [&](const Realization& r) -> bool {
           // The enumerator constructed this access to satisfy the
           // disjunct (hence ψ+); only ψ− needs checking.
@@ -1165,7 +1122,7 @@ class Search {
             if (!ok) continue;
           }
           TryChild(at, schema::Access{m, binding}, {fact}, node,
-                   /*positive_known=*/plan_->trivially_positive[ti],
+                   /*positive_known=*/plan_->trivially_positive[guard],
                    children, candidates);
           if (ctx.aborted()) return;
         }

@@ -43,6 +43,20 @@ int CmpPathKeys(const std::vector<const PathLink<Step>*>& a,
   return 0;
 }
 
+/// CmpPathKeys over two bare chain heads (for entries that keep only
+/// the head: they walk their chains on the rare tie instead of paying
+/// a pointer vector each).
+template <typename Step>
+int CmpChains(const PathLink<Step>* a, const PathLink<Step>* b) {
+  auto root_first = [](const PathLink<Step>* link) {
+    std::vector<const PathLink<Step>*> out;
+    for (; link != nullptr; link = link->parent.get()) out.push_back(link);
+    std::reverse(out.begin(), out.end());
+    return out;
+  };
+  return CmpPathKeys(root_first(a), root_first(b));
+}
+
 /// Extends `parent_path` by one step; appends the new link to
 /// `links` (the root-to-node materialization callers keep per node so
 /// comparisons never walk or allocate). Returns the owning chain head.

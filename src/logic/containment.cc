@@ -10,11 +10,6 @@
 namespace accltl {
 namespace logic {
 
-bool HomomorphismExists(const Cq& q, const Database& db, const Env& seed) {
-  DatabaseView view(db);
-  return EvalWithEnv(q.ToFormula(), view, seed);
-}
-
 namespace {
 
 /// One identification of the left query's variables: a partition of the

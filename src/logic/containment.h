@@ -39,10 +39,6 @@ Result<bool> SentenceContained(const PosFormulaPtr& f1,
                                const PosFormulaPtr& f2,
                                const schema::Schema& schema);
 
-/// Does a homomorphism from `q` into `db` exist that extends `seed`
-/// (mapping of q's variables to values) and satisfies q's ≠ atoms?
-bool HomomorphismExists(const Cq& q, const Database& db, const Env& seed);
-
 }  // namespace logic
 }  // namespace accltl
 

@@ -77,6 +77,9 @@ struct CompiledFormula::Program {
   /// 0 .. num_params-1.
   std::vector<std::pair<std::string, uint32_t>> free_slots;
   uint32_t num_params = 0;
+  /// A CompiledFormula::Sentences program: sentence i's entry is
+  /// branches[branches.size() - num_sentences + i].
+  uint32_t num_sentences = 0;
 };
 
 namespace {
@@ -90,24 +93,32 @@ class Compiler {
  public:
   explicit Compiler(Program* p) : p_(p) {}
 
-  void Compile(const PosFormula* f, const std::vector<std::string>& params) {
+  /// Compiles each formula to its own entry, in order; returns the
+  /// entries. The formulas share their free variables by name, and
+  /// constant slots.
+  std::vector<int> Compile(const std::vector<const PosFormula*>& fs,
+                           const std::vector<std::string>& params) {
     for (const std::string& name : params) {
       p_->free_slots.emplace_back(name, NewSlot(kBound));
     }
     p_->num_params = static_cast<uint32_t>(params.size());
     size_t ops = 0, args = 0;
-    Count(f, &ops, &args);
+    for (const PosFormula* f : fs) Count(f, &ops, &args);
     p_->ops.reserve(ops);
     p_->args.reserve(args);
-    std::vector<int> exits;
-    p_->entry = Emit(f, &exits);
-    Patch(exits, -1);
+    std::vector<int> entries;
+    for (const PosFormula* f : fs) {
+      std::vector<int> exits;
+      entries.push_back(Emit(f, &exits));
+      Patch(exits, -1);
+    }
     p_->num_slots = static_cast<uint32_t>(status_.size());
-    // A program can live as long as the guard holding it: drop the
-    // growth slack.
+    // A program can live as long as the guard or plan holding it: drop
+    // the growth slack.
     p_->branches.shrink_to_fit();
     p_->constants.shrink_to_fit();
     p_->free_slots.shrink_to_fit();
+    return entries;
   }
 
  private:
@@ -572,8 +583,26 @@ CompiledFormula::CompiledFormula()
 CompiledFormula::CompiledFormula(const PosFormulaPtr& f,
                                  const std::vector<std::string>& params) {
   auto program = std::make_shared<Program>();
-  Compiler(program.get()).Compile(f.get(), params);
+  program->entry = Compiler(program.get()).Compile({f.get()}, params)[0];
   program_ = std::move(program);
+}
+
+CompiledFormula CompiledFormula::Sentences(
+    const std::vector<PosFormulaPtr>& sentences) {
+  std::vector<const PosFormula*> fs;
+  for (const PosFormulaPtr& f : sentences) {
+    assert(f->IsSentence() && "Sentences requires closed formulas");
+    fs.push_back(f.get());
+  }
+  auto program = std::make_shared<Program>();
+  std::vector<int> entries = Compiler(program.get()).Compile(fs, {});
+  program->branches.insert(program->branches.end(), entries.begin(),
+                           entries.end());
+  program->branches.shrink_to_fit();
+  program->num_sentences = static_cast<uint32_t>(entries.size());
+  CompiledFormula out;
+  out.program_ = std::move(program);
+  return out;
 }
 
 bool CompiledFormula::Eval(const StructureView& view,
@@ -582,6 +611,20 @@ bool CompiledFormula::Eval(const StructureView& view,
   m.BindParams(args);
   auto done = [] { return true; };
   return m.Exec(program_->entry, done);
+}
+
+void CompiledFormula::EvalEach(const StructureView& view,
+                               std::vector<char>* truth) const {
+  const Program& p = *program_;
+  // Every operation undoes its bindings before it returns, so one
+  // evaluation state serves the sentences in turn.
+  Machine m(p, view);
+  auto done = [] { return true; };
+  const int* entries = p.branches.data() + p.branches.size() - p.num_sentences;
+  truth->resize(p.num_sentences);
+  for (uint32_t i = 0; i < p.num_sentences; ++i) {
+    (*truth)[i] = m.Exec(entries[i], done) ? 1 : 0;
+  }
 }
 
 std::set<Tuple> CompiledFormula::Answers(

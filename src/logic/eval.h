@@ -56,6 +56,17 @@ class CompiledFormula {
   std::set<Tuple> Answers(const StructureView& view,
                           const std::vector<std::string>& head) const;
 
+  /// Sentences compiled into one program: one set of allocations and
+  /// one constant table for all of them, for callers that keep many
+  /// small sentences and always evaluate them together. Evaluate it
+  /// with EvalEach only.
+  static CompiledFormula Sentences(
+      const std::vector<PosFormulaPtr>& sentences);
+
+  /// For a Sentences program: (*truth)[i] is 1 when sentence i holds on
+  /// `view`, else 0.
+  void EvalEach(const StructureView& view, std::vector<char>* truth) const;
+
   /// The compiled program (defined in eval.cc).
   struct Program;
 

@@ -3,18 +3,6 @@
 namespace accltl {
 namespace logic {
 
-int PredicateArity(const PredicateRef& pred, const schema::Schema& schema) {
-  switch (pred.space) {
-    case PredSpace::kPlain:
-    case PredSpace::kPre:
-    case PredSpace::kPost:
-      return schema.relation(pred.id).arity();
-    case PredSpace::kBind:
-      return schema.method(pred.id).num_inputs();
-  }
-  return 0;
-}
-
 ValueType PredicatePositionType(const PredicateRef& pred, int i,
                                 const schema::Schema& schema) {
   switch (pred.space) {

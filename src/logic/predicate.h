@@ -50,12 +50,6 @@ inline PredicateRef Bind(schema::AccessMethodId m) {
   return PredicateRef{PredSpace::kBind, m};
 }
 
-/// Arity of the predicate under `schema`. Bind predicates have the
-/// method's number of input positions; note the 0-ary *vocabulary*
-/// Sch0−Acc (§4.2) is expressed by writing a bind atom with an empty
-/// term list, not by a different PredicateRef.
-int PredicateArity(const PredicateRef& pred, const schema::Schema& schema);
-
 /// Declared type of position `i` (for bind predicates: the type of the
 /// i-th input position of the method's relation).
 ValueType PredicatePositionType(const PredicateRef& pred, int i,

@@ -260,10 +260,6 @@ void ProgressionMonitor::RecomputeVerdict() {
 
 size_t ProgressionMonitor::ResidualSize() const { return residual_->Size(); }
 
-std::string ProgressionMonitor::ResidualToString() const {
-  return residual_->ToString();
-}
-
 std::vector<Verdict> MonitorPath(const acc::AccPtr& formula,
                                  const schema::Schema& schema,
                                  const schema::AccessPath& path,

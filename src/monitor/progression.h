@@ -100,8 +100,6 @@ class ProgressionMonitor {
   /// per step and shrinks under folding. Exposed for the ablation bench.
   size_t ResidualSize() const;
 
-  std::string ResidualToString() const;
-
  private:
   struct Prog;
   using ProgPtr = std::shared_ptr<const Prog>;

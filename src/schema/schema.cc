@@ -11,12 +11,10 @@ namespace schema {
 RelationId Schema::AddRelation(const std::string& name,
                                std::vector<ValueType> position_types) {
   assert(!name.empty() && "relation name must be non-empty");
-  assert(relation_by_name_.find(name) == relation_by_name_.end() &&
-         "duplicate relation name");
+  assert(!FindRelation(name).ok() && "duplicate relation name");
   RelationId id = static_cast<RelationId>(relations_.size());
   relations_.push_back(Relation{name, std::move(position_types)});
   methods_on_.emplace_back();
-  relation_by_name_[name] = id;
   return id;
 }
 
@@ -26,8 +24,7 @@ AccessMethodId Schema::AddAccessMethod(const std::string& name,
                                        bool exact, bool idempotent,
                                        int result_bound) {
   assert(!name.empty() && "method name must be non-empty");
-  assert(method_by_name_.find(name) == method_by_name_.end() &&
-         "duplicate method name");
+  assert(!FindMethod(name).ok() && "duplicate method name");
   assert(relation >= 0 && relation < num_relations());
   std::sort(input_positions.begin(), input_positions.end());
   input_positions.erase(
@@ -43,24 +40,24 @@ AccessMethodId Schema::AddAccessMethod(const std::string& name,
   methods_.push_back(AccessMethod{name, relation, std::move(input_positions),
                                   exact, idempotent, result_bound});
   methods_on_[relation].push_back(id);
-  method_by_name_[name] = id;
   return id;
 }
 
+// Name lookups scan: schemas have a handful of relations and methods,
+// and every prepared query keeps a copy, where name maps cost more
+// memory than the scans cost time.
 Result<RelationId> Schema::FindRelation(const std::string& name) const {
-  auto it = relation_by_name_.find(name);
-  if (it == relation_by_name_.end()) {
-    return Status::NotFound("unknown relation: " + name);
+  for (size_t i = 0; i < relations_.size(); ++i) {
+    if (relations_[i].name == name) return static_cast<RelationId>(i);
   }
-  return it->second;
+  return Status::NotFound("unknown relation: " + name);
 }
 
 Result<AccessMethodId> Schema::FindMethod(const std::string& name) const {
-  auto it = method_by_name_.find(name);
-  if (it == method_by_name_.end()) {
-    return Status::NotFound("unknown access method: " + name);
+  for (size_t i = 0; i < methods_.size(); ++i) {
+    if (methods_[i].name == name) return static_cast<AccessMethodId>(i);
   }
-  return it->second;
+  return Status::NotFound("unknown access method: " + name);
 }
 
 Status Schema::ValidateTuple(RelationId id, const Tuple& t) const {

@@ -2,7 +2,6 @@
 #define ACCLTL_SCHEMA_SCHEMA_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -116,8 +115,6 @@ class Schema {
   std::vector<Relation> relations_;
   std::vector<AccessMethod> methods_;
   std::vector<std::vector<AccessMethodId>> methods_on_;
-  std::map<std::string, RelationId> relation_by_name_;
-  std::map<std::string, AccessMethodId> method_by_name_;
 };
 
 }  // namespace schema

@@ -253,17 +253,14 @@ Result<std::shared_ptr<const PreparedQuery>> AnalysisService::Prepare(
     const PrepareOptions& options) {
   obs::Span span("prepare");
   std::shared_ptr<PreparedQuery> prepared(new PreparedQuery());
-  // Copy first, then prepare against the copy: the compiled automaton
-  // and the engine's plan cache reference the schema by address, which
-  // must stay stable for the PreparedQuery's lifetime.
-  prepared->schema_ = std::make_unique<const schema::Schema>(schema);
+  prepared->schema_ = schema;
   Result<analysis::PreparedFormula> pf =
-      analysis::PrepareSatisfiability(formula, *prepared->schema_);
+      analysis::PrepareSatisfiability(formula, prepared->schema_);
   if (!pf.ok()) return pf.status();
   prepared->prepared_ = std::move(pf.value());
   prepared->options_ = options;
   prepared->cache_key_ =
-      MakeCanonicalRequestKey(*prepared->schema_, formula, options).Joined();
+      MakeCanonicalRequestKey(prepared->schema_, formula, options).Joined();
   return std::shared_ptr<const PreparedQuery>(std::move(prepared));
 }
 

@@ -133,13 +133,13 @@ struct StepRequest {
 /// zero-ary plan (pool + tableau) or compiled Lemma 4.5 A-automaton,
 /// and an owned copy of the schema — computed once by
 /// AnalysisService::Prepare, immutable thereafter, shared freely
-/// across threads and submissions. Holding the compiled automaton
-/// alive also pins the emptiness engine's cached search plan (keyed by
-/// guard identity), so repeated submissions skip UCQ normalization and
-/// pool freezing too.
+/// across threads and submissions. The engines' compiled search state
+/// (the zero plan's compiled atoms and candidate layout, the
+/// automaton's search plan) is built by the first check and lives as
+/// long as the query, so later submissions skip it too.
 class PreparedQuery {
  public:
-  const schema::Schema& schema() const { return *schema_; }
+  const schema::Schema& schema() const { return schema_; }
   const acc::AccPtr& formula() const { return prepared_.formula; }
   acc::Fragment fragment() const { return prepared_.fragment; }
   bool uses_inequality() const { return prepared_.uses_inequality; }
@@ -153,10 +153,9 @@ class PreparedQuery {
  private:
   friend class AnalysisService;
   PreparedQuery() = default;
-  /// unique_ptr, not a member: PreparedFormula's compiled automaton
-  /// and the engine's plan cache key the schema by address, so the
-  /// schema must never move once prepared against.
-  std::unique_ptr<const schema::Schema> schema_;
+  /// The schema `prepared_` was prepared against; the engines search
+  /// with this copy.
+  schema::Schema schema_;
   analysis::PreparedFormula prepared_;
   PrepareOptions options_;
   std::string cache_key_;

@@ -21,10 +21,6 @@ FactSet::Ptr FactSet::Make(std::vector<FactId> sorted_ids) {
   return set;
 }
 
-FactSet::Ptr FactSet::FromSorted(std::vector<FactId> ids) {
-  return Make(std::move(ids));
-}
-
 FactSet::Ptr FactSet::FromUnsorted(std::vector<FactId> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());

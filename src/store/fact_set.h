@@ -28,8 +28,6 @@ class FactSet {
   /// The canonical empty set (shared; never null).
   static const Ptr& Empty();
 
-  /// `ids` must be sorted ascending and duplicate-free.
-  static Ptr FromSorted(std::vector<FactId> ids);
   /// Sorts and deduplicates.
   static Ptr FromUnsorted(std::vector<FactId> ids);
 

@@ -1340,39 +1340,6 @@ void AccShrinks(const acc::AccPtr& f, std::vector<acc::AccPtr>* out) {
   }
 }
 
-/// Referenced relation/method ids of a formula (pre/post/plain atoms
-/// and bind atoms respectively).
-void ReferencedIds(const PosFormulaPtr& f, std::set<int>* rels,
-                   std::set<int>* methods) {
-  switch (f->kind()) {
-    case NodeKind::kAtom:
-      if (f->pred().space == logic::PredSpace::kBind) {
-        methods->insert(f->pred().id);
-      } else {
-        rels->insert(f->pred().id);
-      }
-      return;
-    case NodeKind::kAnd:
-    case NodeKind::kOr:
-      for (const PosFormulaPtr& c : f->children()) {
-        ReferencedIds(c, rels, methods);
-      }
-      return;
-    case NodeKind::kExists:
-      ReferencedIds(f->body(), rels, methods);
-      return;
-    default:
-      return;
-  }
-}
-
-void ReferencedIdsAcc(const acc::AccPtr& f, std::set<int>* rels,
-                      std::set<int>* methods) {
-  for (const PosFormulaPtr& s : f->AtomSentences()) {
-    ReferencedIds(s, rels, methods);
-  }
-}
-
 /// Drops one relation (and its methods) or one method, remapping ids
 /// in the formula and universe. Returns false when the drop would
 /// orphan a referenced id.

@@ -7,6 +7,7 @@
 #include "src/automata/emptiness.h"
 #include "src/automata/progressive.h"
 #include "src/logic/parser.h"
+#include "src/obs/metrics.h"
 #include "src/workload/workload.h"
 
 namespace accltl {
@@ -173,6 +174,59 @@ TEST_F(AutomataTest, BoundedEmptinessFindsWitness) {
   // The witness genuinely satisfies the formula.
   EXPECT_TRUE(acc::EvalOnPath(f, pd_.schema, r.witness,
                               schema::Instance(pd_.schema)));
+}
+
+// The automaton keeps the search plan its first search built. A search
+// over a schema whose relation types differ where the plan froze facts
+// gets a plan of its own (and the answer a fresh compile gives there);
+// a copy shares the plan until AddTransition drops it.
+TEST_F(AutomataTest, SearchPlanIsReusedOnlyWhereTheSchemaAgrees) {
+  obs::SetMetricsEnabled(true);
+  obs::Counter* builds = obs::Registry::Get().counter("automata.plan_builds");
+  const std::string text =
+      "F [EXISTS n . IsBind_AcM1(n) AND "
+      "(EXISTS s,p,h . Address_pre(s,p,n,h))]";
+  schema::Schema retyped;  // Address.houseno is a string here
+  retyped.AddRelation("Mobile", pd_.schema.relation(pd_.mobile).position_types);
+  retyped.AddRelation("Address", {ValueType::kString, ValueType::kString,
+                                  ValueType::kString, ValueType::kString});
+  retyped.AddAccessMethod("AcM1", pd_.mobile, {0});
+  retyped.AddAccessMethod("AcM2", pd_.address, {0, 1});
+  Result<AAutomaton> a = CompileToAutomaton(ParseAcc(text), pd_.schema);
+  ASSERT_TRUE(a.ok());
+  auto search = [](const AAutomaton& automaton, const schema::Schema& s) {
+    WitnessSearchResult r = BoundedWitnessSearch(
+        automaton, s, schema::Instance(s), WitnessSearchOptions{});
+    EXPECT_TRUE(r.found);
+    return r.witness.ToString(s) + "|" + std::to_string(r.nodes_explored);
+  };
+
+  uint64_t before = builds->Value();
+  std::string own = search(a.value(), pd_.schema);
+  EXPECT_EQ(builds->Value() - before, 1u);
+  EXPECT_EQ(search(a.value(), pd_.schema), own);
+  EXPECT_EQ(builds->Value() - before, 1u);
+
+  Result<acc::AccPtr> f = acc::ParseAccFormula(text, retyped);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  Result<AAutomaton> fresh = CompileToAutomaton(f.value(), retyped);
+  ASSERT_TRUE(fresh.ok());
+  std::string want = search(fresh.value(), retyped);
+  before = builds->Value();
+  EXPECT_EQ(search(a.value(), retyped), want);
+  EXPECT_EQ(search(a.value(), retyped), want);
+  EXPECT_EQ(builds->Value() - before, 2u);  // one per search
+  EXPECT_EQ(search(a.value(), pd_.schema), own);
+  EXPECT_EQ(builds->Value() - before, 2u);  // the kept plan again
+
+  AAutomaton copy = a.value();
+  EXPECT_EQ(search(copy, pd_.schema), own);
+  EXPECT_EQ(builds->Value() - before, 2u);
+  copy.AddTransition(copy.initial(), Guard{}, copy.initial());
+  search(copy, pd_.schema);
+  EXPECT_EQ(builds->Value() - before, 3u);
+  EXPECT_EQ(search(a.value(), pd_.schema), own);
+  EXPECT_EQ(builds->Value() - before, 3u);
 }
 
 TEST_F(AutomataTest, BoundedEmptinessRespectsUnsatisfiable) {

@@ -571,6 +571,33 @@ TEST_F(LogicTest, CompiledFormulaScopesAndAnswers) {
   EXPECT_TRUE(CompiledFormula().Eval(view));
 }
 
+/// Sentences compiled into one program answer exactly as each compiled
+/// alone: they share constant slots (one constant here is unseen by the
+/// store) but no variable, and one evaluation state serves them all.
+TEST_F(LogicTest, CompiledSentencesAgreeWithSeparateCompiles) {
+  schema::Instance inst(pd_.schema);
+  inst.AddFact(pd_.mobile, {S("Smith"), S("OX13QD"), S("Parks Rd"), I(1)});
+  inst.AddFact(pd_.address, {S("Parks Rd"), S("OX13QD"), S("Jones"), I(16)});
+  InstanceView view(inst);
+  std::vector<PosFormulaPtr> sentences = {
+      Parse("EXISTS n,p,s,ph . Mobile(n,p,s,ph) AND n = \"Smith\""),
+      Parse("EXISTS n,p,s,ph . Mobile(n,p,s,ph) AND n = \"cs-unseen\""),
+      Parse("EXISTS s,p,h . Address(s,p,\"Jones\",h) OR "
+            "Address(s,p,\"Smith\",h)"),
+      Parse("EXISTS n,p,s,ph,h . Mobile(n,p,s,ph) AND Address(s,p,n,h)"),
+      Parse("EXISTS s,p,n,h . Address(s,p,n,h) AND n != \"Jones\""),
+  };
+  std::vector<char> truth;
+  CompiledFormula::Sentences(sentences).EvalEach(view, &truth);
+  ASSERT_EQ(truth.size(), sentences.size());
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    EXPECT_EQ(truth[i] != 0, CompiledFormula(sentences[i]).Eval(view)) << i;
+  }
+  EXPECT_EQ(truth, (std::vector<char>{1, 0, 1, 0, 0}));
+  CompiledFormula::Sentences({}).EvalEach(view, &truth);
+  EXPECT_TRUE(truth.empty());
+}
+
 }  // namespace
 }  // namespace logic
 }  // namespace accltl

@@ -1,12 +1,13 @@
 // Service-layer tests: prepared-query reuse must return byte-identical
 // Decisions to the one-shot API across all three engines; deadlines
 // fire as kDeadlineExceeded (never a wrong definitive answer) at every
-// worker count; cache hits return the identical cached response, a
-// renamed-schema twin hits too, and cut or budget-exhausted answers
-// are never cached; cross-thread cancel unblocks a long sweep
-// promptly; and the thread knob is single-sourced (the engines'
-// option structs carry no per-engine copy a caller could leave
-// mismatched).
+// worker count; a prepared query compiles its engine plan once, however
+// many checks (and concurrent first checks) it serves; cache hits
+// return the identical cached response, a renamed-schema twin hits
+// too, and cut or budget-exhausted answers are never cached;
+// cross-thread cancel unblocks a long sweep promptly; and the thread
+// knob is single-sourced (the engines' option structs carry no
+// per-engine copy a caller could leave mismatched).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "src/automata/emptiness.h"
 #include "src/common/rng.h"
 #include "src/engine/cancel.h"
+#include "src/obs/metrics.h"
 #include "src/schema/lts.h"
 #include "src/service/analysis_service.h"
 #include "src/service/result_cache.h"
@@ -272,6 +274,99 @@ TEST_F(ServiceTest, GenerousDeadlineReproducesTheSerialDecision) {
     EXPECT_EQ(DecisionKey(resp.decision, pd_.schema, false),
               DecisionKey(serial.decision, pd_.schema, false))
         << threads << " workers";
+  }
+}
+
+// --- Compiled state is built once per prepared query -------------------------
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Get().counter(name)->Value();
+}
+
+TEST_F(ServiceTest, EachPreparedQueryBuildsItsSearchPlanOnce) {
+  obs::SetMetricsEnabled(true);
+  AnalysisService svc;
+  CheckRequest request;
+  request.use_cache = false;
+
+  // 150 distinct automaton-routed queries (IsBind with a variable
+  // term), checked as a cycle twice: only the first check of each
+  // builds its plan. A process-wide plan cache smaller than the cycle
+  // would rebuild on nearly every check.
+  constexpr int kQueries = 150;
+  std::vector<std::shared_ptr<const PreparedQuery>> automaton_queries;
+  for (int i = 0; i < kQueries; ++i) {
+    std::string text = "F [EXISTS n . IsBind_AcM1(n) AND "
+                       "(EXISTS s,h . Address_pre(s, \"P" +
+                       std::to_string(i) + "\", n, h))]";
+    Result<std::shared_ptr<const PreparedQuery>> p =
+        svc.Prepare(pd_.schema, text, service::PrepareOptions{});
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    automaton_queries.push_back(p.value());
+  }
+  uint64_t builds = CounterValue("automata.plan_builds");
+  std::vector<std::string> first_cycle;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (int i = 0; i < kQueries; ++i) {
+      CheckResponse resp = svc.Check(*automaton_queries[i], request);
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      ASSERT_EQ(resp.decision.engine, "automata-bounded") << i;
+      std::string key = DecisionKey(resp.decision, pd_.schema);
+      if (cycle == 0) {
+        first_cycle.push_back(key);
+      } else {
+        EXPECT_EQ(key, first_cycle[i]) << i;
+      }
+    }
+  }
+  EXPECT_EQ(CounterValue("automata.plan_builds") - builds,
+            static_cast<uint64_t>(kQueries));
+
+  // A zero-ary query: checks never rebuild its plan, and the compiled
+  // state the first check builds changes no later answer.
+  Result<std::shared_ptr<const PreparedQuery>> zero =
+      svc.Prepare(pd_.schema, std::string(kZeroFormula));
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  uint64_t zero_builds = CounterValue("analysis.zero.plan_builds");
+  std::string first;
+  for (int i = 0; i < 100; ++i) {
+    CheckResponse resp = svc.Check(*zero.value(), request);
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    ASSERT_EQ(resp.decision.engine, "zero-ary");
+    std::string key = DecisionKey(resp.decision, pd_.schema);
+    if (i == 0) first = key;
+    EXPECT_EQ(key, first) << "check " << i;
+  }
+  EXPECT_EQ(CounterValue("analysis.zero.plan_builds"), zero_builds);
+}
+
+TEST_F(ServiceTest, ConcurrentFirstChecksShareOnePreparedQuery) {
+  // Two dispatchers pick up submissions of one fresh PreparedQuery at
+  // once, so their first searches race to build its compiled state
+  // (the zero plan's atoms, layout and pool-fact ids; the automaton's
+  // search plan). Every answer must equal a later serial check.
+  ServiceOptions sopts;
+  sopts.num_dispatchers = 2;
+  AnalysisService svc(sopts);
+  CheckRequest request;
+  request.use_cache = false;
+  for (const char* text : {kZeroFormula, kBoundedFormula}) {
+    Result<std::shared_ptr<const PreparedQuery>> prepared =
+        svc.Prepare(pd_.schema, std::string(text), service::PrepareOptions{});
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    std::vector<PendingResult> pending;
+    for (int i = 0; i < 8; ++i) {
+      pending.push_back(svc.Submit(prepared.value(), request));
+    }
+    CheckResponse serial = svc.Check(*prepared.value(), request);
+    ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+    for (PendingResult& p : pending) {
+      const CheckResponse& resp = p.Get();
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      EXPECT_EQ(DecisionKey(resp.decision, pd_.schema),
+                DecisionKey(serial.decision, pd_.schema))
+          << text;
+    }
   }
 }
 

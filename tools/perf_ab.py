@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -80,10 +81,19 @@ def main():
 
     sides = {}
     for name, rev in (("base", args.base), ("head", args.head)):
-        tree = workdir / name / "src"
-        if not (tree / "perfbench" / "run.py").is_file():
+        tree, build = workdir / name / "src", workdir / name / "build"
+        # A work directory is reused only for the commit it was built
+        # from: a new revision gets a fresh export and a fresh build.
+        stamp = workdir / name / "commit"
+        commit = subprocess.run(["git", "rev-parse", "--verify", rev], cwd=ROOT,
+                                capture_output=True, text=True,
+                                check=True).stdout.strip()
+        if not stamp.is_file() or stamp.read_text() != commit:
+            shutil.rmtree(tree, ignore_errors=True)
+            shutil.rmtree(build, ignore_errors=True)
             export(rev, tree)
-        sides[name] = (tree, workdir / name / "build")
+            stamp.write_text(commit)
+        sides[name] = (tree, build)
 
     provenance = {}
     for workload in args.workloads.split(","):
