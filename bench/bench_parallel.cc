@@ -31,10 +31,13 @@ namespace {
 // pool workers. No memory traffic, no locks — its scaling curve is the
 // *hardware's* parallel ceiling on the current box (shared/throttled
 // cloud cores routinely cap 2 threads well below 2×), which is the
-// honest yardstick for the witness-search curves below.
+// honest yardstick for the witness-search curves below. One iteration
+// is a few milliseconds, so each repetition averages many of them; the
+// median of the repetitions is the reading (one long iteration was
+// bimodal: the scheduler placed the workers well or it did not).
 void BM_RawThreadScalingControl(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
-  constexpr unsigned kTotal = 400u * 1000 * 1000;
+  constexpr unsigned kTotal = 4u * 1000 * 1000;
   for (auto _ : state) {
     engine::ThreadPool::Global().Run(threads, [&](size_t) {
       volatile unsigned x = 1;
@@ -51,6 +54,8 @@ BENCHMARK(BM_RawThreadScalingControl)
     ->Arg(8)
     ->ArgNames({"threads"})
     ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
 
 const char kDiamondExhaustive[] =

@@ -15,18 +15,8 @@ const Guard::Compiled& Guard::compiled() const {
   const Compiled* c = compiled_.load(std::memory_order_acquire);
   if (c != nullptr) return *c;
   auto built = std::make_unique<Compiled>();
-  if (positive != nullptr && positive->kind() != logic::NodeKind::kTrue) {
-    bool conjuncts = positive->kind() == logic::NodeKind::kAnd;
-    for (const logic::PosFormulaPtr& part : positive->children()) {
-      conjuncts = conjuncts && part->IsSentence();
-    }
-    if (conjuncts) {
-      for (const logic::PosFormulaPtr& part : positive->children()) {
-        built->positive.emplace_back(part);
-      }
-    } else {
-      built->positive.emplace_back(positive);
-    }
+  for (const logic::PosFormulaPtr& part : PositiveSentences()) {
+    built->positive.emplace_back(part);
   }
   for (const logic::PosFormulaPtr& gamma : negated) {
     built->negated.emplace_back(gamma);
@@ -38,6 +28,18 @@ const Guard::Compiled& Guard::compiled() const {
   return *c;  // another thread won the race
 }
 
+std::vector<logic::PosFormulaPtr> Guard::PositiveSentences() const {
+  if (positive == nullptr || positive->kind() == logic::NodeKind::kTrue) {
+    return {};
+  }
+  bool conjuncts = positive->kind() == logic::NodeKind::kAnd;
+  for (const logic::PosFormulaPtr& part : positive->children()) {
+    conjuncts = conjuncts && part->IsSentence();
+  }
+  if (conjuncts) return positive->children();
+  return {positive};
+}
+
 bool Guard::Eval(const schema::Transition& t) const {
   logic::TransitionView view(t);
   return Eval(view);
@@ -47,10 +49,6 @@ bool Guard::Eval(const logic::StructureView& view) const {
   for (const logic::CompiledFormula& part : compiled().positive) {
     if (!part.Eval(view)) return false;
   }
-  return EvalNegated(view);
-}
-
-bool Guard::EvalNegated(const logic::StructureView& view) const {
   for (const logic::CompiledFormula& gamma : compiled().negated) {
     if (gamma.Eval(view)) return false;
   }

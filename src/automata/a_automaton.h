@@ -24,8 +24,11 @@ namespace automata {
 ///
 /// The first evaluation compiles both parts (logic::CompiledFormula)
 /// and later evaluations reuse them, so the formula fields must not
-/// change once the guard has been evaluated. Compiling lazily keeps the
-/// many guards a search never reaches free. A copy starts uncompiled.
+/// change once the guard has been evaluated. A copy starts uncompiled.
+/// Eval serves Accepts, the online monitor and witness shrinking; the
+/// emptiness search never calls it: it decides guards through its
+/// search plan, which compiles each distinct sentence of the
+/// automaton's guards once (automata/emptiness.cc).
 struct Guard {
   /// ψ+ (TRUE when absent).
   logic::PosFormulaPtr positive;
@@ -53,20 +56,18 @@ struct Guard {
   /// Evaluates the guard against an arbitrary structure view — e.g. a
   /// logic::IndexedTransitionView, which answers bound-position atom
   /// probes through a MatchIndexCache instead of scanning (the online
-  /// monitor's per-step path), or a logic::CandidateView (the search
-  /// engines' guard-first child test).
+  /// monitor's per-step path), or a logic::CandidateView (an access
+  /// and its response before the post-instance is built).
   bool Eval(const logic::StructureView& view) const;
 
-  /// Evaluates only the ψ− part (every ¬γ conjunct). For callers that
-  /// constructed the access to satisfy ψ+ (e.g. realization
-  /// enumeration), re-evaluating the positive join is pure waste.
-  bool EvalNegated(const logic::StructureView& view) const;
+  /// ψ+ as sentences that must all hold: its conjuncts when it is a
+  /// conjunction of sentences, else ψ+ itself; none for TRUE.
+  std::vector<logic::PosFormulaPtr> PositiveSentences() const;
 
   std::string ToString(const schema::Schema& schema) const;
 
  private:
-  /// ψ+ as sentences that must all hold (its conjuncts when it is a
-  /// conjunction of sentences), and each γ of ψ−.
+  /// PositiveSentences() and each γ of ψ−, compiled.
   struct Compiled {
     std::vector<logic::CompiledFormula> positive;
     std::vector<logic::CompiledFormula> negated;

@@ -34,7 +34,9 @@ namespace {
 /// Witness-engine instruments (write-only; DESIGN.md §8).
 struct WitnessMetrics {
   obs::Counter* expansions;
-  obs::Counter* candidates;  // accesses the guard was evaluated on
+  obs::Counter* candidates;  // (candidate access, transition) decisions
+  obs::Counter* accesses;    // candidate accesses, one view each
+  obs::Counter* sentence_evals;  // guard sentences evaluated on them
   obs::Counter* children;
   obs::Counter* plan_builds;
   obs::Histogram* reduce_us;  // per level-sweep barrier reduction
@@ -42,6 +44,8 @@ struct WitnessMetrics {
     static const WitnessMetrics m{
         obs::Registry::Get().counter("automata.expansions"),
         obs::Registry::Get().counter("automata.candidates"),
+        obs::Registry::Get().counter("automata.accesses"),
+        obs::Registry::Get().counter("automata.sentence_evals"),
         obs::Registry::Get().counter("automata.children"),
         obs::Registry::Get().counter("automata.plan_builds"),
         obs::Registry::Get().histogram("automata.search.reduce_us"),
@@ -441,20 +445,45 @@ class RealizationEnumerator {
 }  // namespace
 
 /// The search-independent compilation of an automaton: normalized UCQ
-/// guards plus the speculative fact pool. Building it costs UCQ
-/// normalization and freezing per guard, so the automaton owns it
-/// (PlanFor). External linkage: a_automaton.h forward-declares it.
+/// guards, the guard-sentence table and the speculative fact pool.
+/// Building it costs UCQ normalization, sentence compilation and
+/// freezing per guard, so the automaton owns it (PlanFor). External
+/// linkage: a_automaton.h forward-declares it.
 struct SearchPlan {
   /// The distinct positive guards, as UCQs. A compiled tableau repeats
-  /// each literal set on many edges; transitions whose ψ+ conjoins the
-  /// same formulas share one entry.
+  /// each literal set on many edges; transitions whose ψ+ has the same
+  /// sentences share one entry.
   std::vector<logic::Ucq> guards;
   /// Per distinct guard: it has a trivially-true disjunct (no atoms, no
   /// inequalities), so ψ+ holds on *every* transition and pool
   /// injection only needs to check ψ−.
   std::vector<bool> trivially_positive;
-  /// Per transition: its entry in `guards`.
-  std::vector<uint32_t> guard_of;
+  /// The distinct guard sentences, each compiled once and keyed by
+  /// formula identity: every Guard::PositiveSentences() part and every
+  /// γ of every ψ−. A compiled tableau reuses a few atoms on many
+  /// edges, so a search decides a candidate access with at most this
+  /// many evaluations.
+  std::vector<logic::CompiledFormula> sentences;
+  /// One transition as the search decides it.
+  struct Edge {
+    int to = 0;
+    /// Its entry in `guards`.
+    uint32_t guard = 0;
+    /// Ids into `sentences`: the parts of ψ+, and the γs of ψ−.
+    std::vector<uint32_t> positive;
+    std::vector<uint32_t> negative;
+  };
+  /// Per transition, in automaton order.
+  std::vector<Edge> edges;
+  /// The transitions leaving one state.
+  struct Outgoing {
+    /// Indices into `edges`, in automaton order.
+    std::vector<uint32_t> edges;
+    /// The distinct `guards` among them, in first-appearance order.
+    std::vector<uint32_t> guards;
+  };
+  /// Per source state.
+  std::vector<Outgoing> outgoing;
   std::vector<std::pair<RelationId, store::FactId>> pool;
   /// Factory state after pool freezing: searches must continue the
   /// fresh-value sequence to avoid colliding with pool values.
@@ -483,22 +512,42 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
   obs::Span span("prepare-plan");
   WitnessMetrics::Get().plan_builds->Inc();
   auto plan = std::make_shared<SearchPlan>();
-  // Pre-normalize guards to UCQs, once per distinct conjunction.
-  std::map<std::vector<const logic::PosFormula*>, uint32_t> distinct;
+  // Compile each distinct sentence once, and pre-normalize guards to
+  // UCQs once per distinct ψ+ (by its sentence ids).
+  std::map<std::vector<uint32_t>, uint32_t> distinct;
+  std::map<const logic::PosFormula*, uint32_t> sentence_ids;
+  auto sentence = [&](const logic::PosFormulaPtr& f) {
+    auto [it, fresh] = sentence_ids.emplace(
+        f.get(), static_cast<uint32_t>(plan->sentences.size()));
+    if (fresh) plan->sentences.emplace_back(f);
+    return it->second;
+  };
   for (const ATransition& t : automaton.transitions()) {
     logic::PosFormulaPtr pos =
         t.guard.positive ? t.guard.positive : logic::PosFormula::True();
-    std::vector<const logic::PosFormula*> conjuncts;
-    if (pos->kind() == logic::NodeKind::kAnd) {
-      for (const logic::PosFormulaPtr& c : pos->children()) {
-        conjuncts.push_back(c.get());
-      }
-    } else {
-      conjuncts.push_back(pos.get());
+    SearchPlan::Edge edge;
+    edge.to = t.to;
+    for (const logic::PosFormulaPtr& part : t.guard.PositiveSentences()) {
+      edge.positive.push_back(sentence(part));
+    }
+    for (const logic::PosFormulaPtr& gamma : t.guard.negated) {
+      edge.negative.push_back(sentence(gamma));
     }
     auto [it, fresh] = distinct.emplace(
-        std::move(conjuncts), static_cast<uint32_t>(plan->guards.size()));
-    plan->guard_of.push_back(it->second);
+        edge.positive, static_cast<uint32_t>(plan->guards.size()));
+    edge.guard = it->second;
+    if (t.from >= 0) {
+      if (static_cast<size_t>(t.from) >= plan->outgoing.size()) {
+        plan->outgoing.resize(static_cast<size_t>(t.from) + 1);
+      }
+      SearchPlan::Outgoing& out = plan->outgoing[static_cast<size_t>(t.from)];
+      out.edges.push_back(static_cast<uint32_t>(plan->edges.size()));
+      if (std::find(out.guards.begin(), out.guards.end(), edge.guard) ==
+          out.guards.end()) {
+        out.guards.push_back(edge.guard);
+      }
+    }
+    plan->edges.push_back(std::move(edge));
     if (!fresh) continue;
     Result<logic::Ucq> ucq = logic::NormalizeToUcq(pos, {}, schema);
     plan->guards.push_back(ucq.ok() ? ucq.value() : logic::Ucq{});
@@ -526,8 +575,8 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
   // transition's guard contributes its own fresh facts.
   logic::FreshValueFactory factory;
   std::set<RelationId> read;
-  for (uint32_t g : plan->guard_of) {
-    for (const logic::Cq& d : plan->guards[g].disjuncts) {
+  for (const SearchPlan::Edge& edge : plan->edges) {
+    for (const logic::Cq& d : plan->guards[edge.guard].disjuncts) {
       logic::Cq data_only;
       for (const logic::CqAtom& a : d.atoms) {
         if (a.pred.space == PredSpace::kPre ||
@@ -764,18 +813,41 @@ class Search {
     std::vector<const PathLink*> links;
   };
 
-  /// Candidate child during expansion, before sorting.
-  struct Child {
-    int to_state;
+  /// A candidate access some outgoing transition admitted, built
+  /// once: every transition that admits it adds a child sharing it.
+  struct Admitted {
     Instance post;
-    schema::AccessStep step;
-    std::string key;
+    /// The parent's path extended by this access step (the step and
+    /// its order key live on the link).
+    std::shared_ptr<const PathLink> link;
     int64_t fresh_base;
     /// Compact mode: the delta against the parent — the accessed
     /// relation and the interned response fact ids the treedb extends
     /// the parent's set ref by.
     RelationId rel = 0;
     std::vector<store::FactId> response_ids;
+  };
+
+  /// Candidate child during expansion, before sorting: the state an
+  /// admitting transition leads to and the access it admitted.
+  struct Child {
+    int to_state;
+    uint32_t access;  // index into Expansion::admitted
+  };
+
+  /// One node's expansion, in generation order.
+  struct Expansion {
+    std::vector<Admitted> admitted;
+    std::vector<Child> children;
+    /// (candidate access, transition) decisions.
+    size_t candidates = 0;
+    /// Candidate accesses decided, each on one view.
+    size_t accesses = 0;
+    /// Guard sentences evaluated.
+    size_t sentence_evals = 0;
+    /// The current candidate's truth memo, one entry per plan
+    /// sentence: 0 not evaluated yet, 1 false, 2 true.
+    std::vector<char> memo;
   };
 
   static uint64_t NodeHash(int state, const Instance& config) {
@@ -849,7 +921,8 @@ class Search {
       return;
     }
     if (node->depth >= options_.max_path_length) return;
-    std::vector<Child> children = Expand(*node, ctx);
+    Expansion x = Expand(*node, ctx);
+    const std::vector<Child>& children = x.children;
     // pf order: smallest child pops first. Content ties (the same
     // access step can drive a nondeterministic automaton into several
     // states) resolve accepting states first, so the first accept a
@@ -861,7 +934,8 @@ class Search {
     std::sort(order.begin(), order.end(), [&](uint32_t ia, uint32_t ib) {
       const Child& a = children[ia];
       const Child& b = children[ib];
-      int c = a.key.compare(b.key);
+      int c = x.admitted[a.access].link->key.compare(
+          x.admitted[b.access].link->key);
       if (c != 0) return c < 0;
       bool aa = automaton_.IsAccepting(a.to_state);
       bool ba = automaton_.IsAccepting(b.to_state);
@@ -876,7 +950,8 @@ class Search {
     std::vector<std::unique_ptr<SearchNode>> survivors;
     survivors.reserve(children.size());
     for (uint32_t i : order) {
-      std::unique_ptr<SearchNode> next = MakeNode(*node, children[i]);
+      std::unique_ptr<SearchNode> next = MakeNode(
+          *node, x.admitted[children[i].access], children[i].to_state);
       if (PrunedByBest(*next)) continue;  // see ReduceLevel: prune first
       if (options_.use_visited_dedup && !RegisterNode(*next)) continue;
       survivors.push_back(std::move(next));
@@ -897,9 +972,9 @@ class Search {
                   engine::Explorer<SearchNode>::Context& ctx) {
     if (AcceptHere(*node)) return;
     if (node->depth >= options_.max_path_length) return;
-    std::vector<Child> children = Expand(*node, ctx);
-    for (Child& child : children) {
-      ctx.Emit(MakeNode(*node, child));
+    Expansion x = Expand(*node, ctx);
+    for (const Child& child : x.children) {
+      ctx.Emit(MakeNode(*node, x.admitted[child.access], child.to_state));
     }
   }
 
@@ -1025,16 +1100,17 @@ class Search {
   }
 
   std::unique_ptr<SearchNode> MakeNode(const SearchNode& parent,
-                                       Child& child) {
+                                       const Admitted& access,
+                                       int to_state) {
     auto next = std::make_unique<SearchNode>();
-    next->state = child.to_state;
-    next->config = std::move(child.post);
+    next->state = to_state;
+    next->config = access.post;
     next->depth = parent.depth + 1;
-    next->fresh_base = child.fresh_base;
+    next->fresh_base = access.fresh_base;
     next->links.reserve(parent.links.size() + 1);
     next->links = parent.links;
-    next->path = engine::ExtendPath(parent.path, std::move(child.step),
-                                    std::move(child.key), &next->links);
+    next->links.push_back(access.link.get());
+    next->path = access.link;
     if (compact_) {
       // Delta extension: only the accessed relation's set ref moves,
       // then the O(log R) tuple spine and the (state, config) pair
@@ -1042,14 +1118,14 @@ class Search {
       // the parent by construction.
       store::TreeDb& treedb = compact_->treedb;
       next->rel_refs = parent.rel_refs;
-      store::TreeRef set = next->rel_refs[child.rel];
-      for (store::FactId f : child.response_ids) {
+      store::TreeRef set = next->rel_refs[access.rel];
+      for (store::FactId f : access.response_ids) {
         set = treedb.InsertSet(set, f);
       }
-      if (set != parent.rel_refs[child.rel]) {
-        next->rel_refs[child.rel] = set;
+      if (set != parent.rel_refs[access.rel]) {
+        next->rel_refs[access.rel] = set;
         next->config_ref = treedb.UpdateTuple(
-            parent.config_ref, next->rel_refs.size(), child.rel, set);
+            parent.config_ref, next->rel_refs.size(), access.rel, set);
       } else {
         next->config_ref = parent.config_ref;
       }
@@ -1060,37 +1136,39 @@ class Search {
     return next;
   }
 
-  /// The node's children, in generation order; records the expansion.
-  std::vector<Child> Expand(const SearchNode& node,
-                            engine::Explorer<SearchNode>::Context& ctx) {
-    std::vector<Child> children;
-    size_t candidates = 0;
-    Generate(node, ctx, &children, &candidates);
+  /// The node's expansion; records it.
+  Expansion Expand(const SearchNode& node,
+                   engine::Explorer<SearchNode>::Context& ctx) {
+    Expansion x;
+    x.memo.resize(plan_->sentences.size());
+    Generate(node, ctx, &x);
     const WitnessMetrics& metrics = WitnessMetrics::Get();
     metrics.expansions->Inc();
-    metrics.candidates->Inc(candidates);
-    metrics.children->Inc(children.size());
-    return children;
+    metrics.candidates->Inc(x.candidates);
+    metrics.accesses->Inc(x.accesses);
+    metrics.sentence_evals->Inc(x.sentence_evals);
+    metrics.children->Inc(x.children.size());
+    return x;
   }
 
+  /// Builds each candidate access once — each realization of each
+  /// distinct ψ+ leaving the node's state, then each pool injection —
+  /// and decides the transitions that may take it (Decide).
   void Generate(const SearchNode& node,
-                engine::Explorer<SearchNode>::Context& ctx,
-                std::vector<Child>* children, size_t* candidates) {
+                engine::Explorer<SearchNode>::Context& ctx, Expansion* x) {
+    if (static_cast<size_t>(node.state) >= plan_->outgoing.size()) return;
+    const SearchPlan::Outgoing& out =
+        plan_->outgoing[static_cast<size_t>(node.state)];
+    if (out.edges.empty()) return;
     store::MatchIndexCache::LocalView& view = local_views_[ctx.worker_id()];
     schema::LazyActiveDomain domain(node.config);
-    for (size_t ti = 0; ti < automaton_.transitions().size(); ++ti) {
-      const ATransition& at = automaton_.transitions()[ti];
-      if (at.from != node.state) continue;
+    for (uint32_t guard : out.guards) {
       RealizationEnumerator en(schema_, node.config, options_,
                                node.fresh_base, &view, &domain);
-      const uint32_t guard = plan_->guard_of[ti];
       for (const logic::Cq& disjunct : plan_->guards[guard].disjuncts) {
         en.ForEach(disjunct, [&](const Realization& r) -> bool {
-          // The enumerator constructed this access to satisfy the
-          // disjunct (hence ψ+); only ψ− needs checking.
-          TryChild(at, schema::Access{r.method, r.binding}, r.new_fact_ids,
-                   node,
-                   /*positive_known=*/true, children, candidates);
+          Decide(node, out, guard, schema::Access{r.method, r.binding},
+                 r.new_fact_ids, x);
           return ctx.aborted();
         });
         if (en.truncated()) {
@@ -1098,47 +1176,54 @@ class Search {
         }
         if (ctx.aborted()) return;
       }
-      // Speculative pool injection: reveal one canonical fact through
-      // this transition (useful when the guard is permissive and a
-      // later guard needs the fact in its pre-structure).
-      for (const auto& [rel, fact] : plan_->pool) {
-        if (node.config.facts(rel)->Contains(fact)) continue;
-        const Tuple& tuple = store::Store::Get().tuple(fact);
-        for (schema::AccessMethodId m : schema_.methods_on(rel)) {
-          const schema::AccessMethod& am = schema_.method(m);
-          Tuple binding;
-          for (schema::Position p : am.input_positions) {
-            binding.push_back(tuple[static_cast<size_t>(p)]);
-          }
-          if (options_.grounded) {
-            const std::set<Value>& dom = domain.get();
-            bool ok = true;
-            for (const Value& v : binding) {
-              if (dom.count(v) == 0) {
-                ok = false;
-                break;
-              }
-            }
-            if (!ok) continue;
-          }
-          TryChild(at, schema::Access{m, binding}, {fact}, node,
-                   /*positive_known=*/plan_->trivially_positive[guard],
-                   children, candidates);
-          if (ctx.aborted()) return;
+    }
+    // Speculative pool injection: reveal one canonical fact through
+    // any transition (useful when the guard is permissive and a later
+    // guard needs the fact in its pre-structure).
+    std::vector<store::FactId> response(1);
+    for (const auto& [rel, fact] : plan_->pool) {
+      if (node.config.facts(rel)->Contains(fact)) continue;
+      const Tuple& tuple = store::Store::Get().tuple(fact);
+      response[0] = fact;
+      for (schema::AccessMethodId m : schema_.methods_on(rel)) {
+        const schema::AccessMethod& am = schema_.method(m);
+        Tuple binding;
+        for (schema::Position p : am.input_positions) {
+          binding.push_back(tuple[static_cast<size_t>(p)]);
         }
+        if (options_.grounded) {
+          const std::set<Value>& dom = domain.get();
+          bool ok = true;
+          for (const Value& v : binding) {
+            if (dom.count(v) == 0) {
+              ok = false;
+              break;
+            }
+          }
+          if (!ok) continue;
+        }
+        Decide(node, out, kInjected, schema::Access{m, std::move(binding)},
+               response, x);
+        if (ctx.aborted()) return;
       }
     }
   }
 
-  /// Guard first, post later: decides the candidate access on its
-  /// pre+response view (logic::CandidateView) and builds the
-  /// post-instance only when the guard holds. `positive_known` skips
-  /// the ψ+ evaluation for accesses built from a realization of a
-  /// positive-guard disjunct.
-  void TryChild(const ATransition& at, schema::Access access,
-                const std::vector<store::FactId>& response_ids,
-                const SearchNode& node, bool positive_known,
-                std::vector<Child>* children, size_t* candidates) {
+  /// Decide's `realized` for a pool injection: no ψ+ built the access.
+  static constexpr uint32_t kInjected = ~uint32_t{0};
+
+  /// Guard first, post later, once per access: decides one candidate
+  /// access for every transition in `out` that may take it — those
+  /// whose ψ+ is `realized` when the access realizes that guard (ψ+
+  /// then holds by construction; only ψ− is checked), every one for a
+  /// pool injection — on one pre+response view
+  /// (logic::CandidateView), evaluating each plan sentence at most
+  /// once. The post-instance, step, order key and fresh base are built
+  /// once, if some transition admits the access.
+  void Decide(const SearchNode& node, const SearchPlan::Outgoing& out,
+              uint32_t realized, schema::Access access,
+              const std::vector<store::FactId>& response_ids,
+              Expansion* x) {
     // Result-bounded method: a response larger than the bound is not a
     // behaviour of the access interface, whichever path proposed it
     // (guard realization or speculative pool injection). Bound 0
@@ -1148,37 +1233,66 @@ class Search {
         response_ids.size() > static_cast<size_t>(am.result_bound)) {
       return;
     }
-    ++*candidates;
-    {
-      logic::CandidateView view(schema_, node.config, access, response_ids);
-      if (positive_known ? !at.guard.EvalNegated(view)
-                         : !at.guard.Eval(view)) {
-        return;
+    ++x->accesses;
+    std::fill(x->memo.begin(), x->memo.end(), 0);
+    std::optional<logic::CandidateView> view;
+    auto holds = [&](uint32_t sentence) {
+      char& truth = x->memo[sentence];
+      if (truth == 0) {
+        if (!view) view.emplace(schema_, node.config, access, response_ids);
+        truth = plan_->sentences[sentence].Eval(*view) ? 2 : 1;
+        ++x->sentence_evals;
       }
+      return truth == 2;
+    };
+    const uint32_t index = static_cast<uint32_t>(x->admitted.size());
+    const size_t first = x->children.size();
+    for (uint32_t e : out.edges) {
+      const SearchPlan::Edge& edge = plan_->edges[e];
+      if (realized != kInjected && edge.guard != realized) continue;
+      ++x->candidates;
+      bool admits = true;
+      if (realized == kInjected && !plan_->trivially_positive[edge.guard]) {
+        for (uint32_t s : edge.positive) {
+          if (!holds(s)) {
+            admits = false;
+            break;
+          }
+        }
+      }
+      for (size_t i = 0; admits && i < edge.negative.size(); ++i) {
+        admits = !holds(edge.negative[i]);
+      }
+      if (admits) x->children.push_back(Child{edge.to, index});
     }
+    if (x->children.size() == first) return;
+    view.reset();  // it reads `access`, which moves below
     schema::Transition t = schema::MakeTransitionFromIds(
         schema_, node.config, std::move(access), response_ids);
-    Child child;
-    child.to_state = at.to;
-    child.post = std::move(t.post);
-    child.step = schema::AccessStep{std::move(t.access),
-                                    std::move(t.response)};
-    child.key = schema::StepOrderKey(child.step);
+    Admitted admitted;
+    admitted.post = std::move(t.post);
+    schema::AccessStep step{std::move(t.access), std::move(t.response)};
     // Incremental configuration-derived fresh base: the parent's base
     // already covers its configuration; only the response's values can
     // raise it.
-    child.fresh_base = node.fresh_base;
-    for (const Tuple& tuple : child.step.response) {
+    admitted.fresh_base = node.fresh_base;
+    for (const Tuple& tuple : step.response) {
       for (const Value& v : tuple) {
-        child.fresh_base =
-            std::max(child.fresh_base, logic::FreshValueIndex(v) + 1);
+        admitted.fresh_base =
+            std::max(admitted.fresh_base, logic::FreshValueIndex(v) + 1);
       }
     }
     if (compact_) {
-      child.rel = schema_.method(child.step.access.method).relation;
-      child.response_ids = response_ids;
+      admitted.rel = am.relation;
+      admitted.response_ids = response_ids;
     }
-    children->push_back(std::move(child));
+    std::string key = schema::StepOrderKey(step);
+    auto link = std::make_shared<PathLink>();
+    link->parent = node.path;
+    link->step = std::move(step);
+    link->key = std::move(key);
+    admitted.link = std::move(link);
+    x->admitted.push_back(std::move(admitted));
   }
 
   const AAutomaton& automaton_;

@@ -21,6 +21,8 @@
 #include "src/engine/thread_pool.h"
 #include "src/engine/visited_table.h"
 #include "src/engine/work_deque.h"
+#include "src/logic/parser.h"
+#include "src/obs/metrics.h"
 #include "src/store/fact_store.h"
 #include "src/store/match_index.h"
 #include "src/workload/workload.h"
@@ -412,6 +414,107 @@ TEST_F(EngineSearchTest, DedupStillReducesNodesExploredWhenParallel) {
   EXPECT_FALSE(r1.found);
   EXPECT_FALSE(r2.found);
   EXPECT_LT(r1.nodes_explored, r2.nodes_explored);
+}
+
+// One state with many outgoing transitions: the search decides each
+// candidate access once for all of them, evaluating each distinct guard
+// sentence at most once, and the answer is the one the guards define.
+TEST_F(EngineSearchTest, SharedGuardSentencesDecideEachAccessOnce) {
+  auto parse = [&](const std::string& text) {
+    return logic::ParseFormula(text, pd_.schema).value();
+  };
+  logic::PosFormulaPtr mobile_pre =
+      parse("EXISTS n,p,s,ph . Mobile_pre(n,p,s,ph)");
+  logic::PosFormulaPtr address_pre =
+      parse("EXISTS s,p,n,h . Address_pre(s,p,n,h)");
+  logic::PosFormulaPtr mobile_post =
+      parse("EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)");
+  logic::PosFormulaPtr address_post =
+      parse("EXISTS s,p,n,h . Address_post(s,p,n,h)");
+  logic::PosFormulaPtr bind1 = parse("EXISTS n . IsBind_AcM1(n)");
+  logic::PosFormulaPtr bind2 = parse("EXISTS s,p . IsBind_AcM2(s,p)");
+  logic::PosFormulaPtr join = parse(
+      "EXISTS n,p,s,ph,h . Mobile_pre(n,p,s,ph) AND Address_post(s,p,n,h)");
+  // Eight distinct sentences in all.
+  const size_t kSentences = 8;
+
+  automata::AAutomaton a;
+  int s0 = a.AddState();
+  int s1 = a.AddState();
+  int dead = a.AddState();
+  int accept = a.AddState();
+  int dead2 = a.AddState();
+  a.SetInitial(s0);
+  a.AddAccepting(accept);
+  automata::Guard reveal_mobile;  // shares its ψ− with `any_address`
+  reveal_mobile.positive = logic::PosFormula::And({bind1, mobile_post});
+  reveal_mobile.negated = {mobile_pre};
+  a.AddTransition(s0, reveal_mobile, s1);
+  automata::Guard any_address;
+  any_address.positive = bind2;
+  any_address.negated = {mobile_pre};
+  a.AddTransition(s0, any_address, dead);
+  // A disjunctive ψ+ whose ψ− never holds: the initial instance has an
+  // Address fact, and facts are never removed. Skipping ψ− would make
+  // every first access an accepting one-step path.
+  automata::Guard blocked;
+  blocked.positive = logic::PosFormula::Or({bind1, bind2});
+  blocked.negated = {address_pre};
+  a.AddTransition(s0, blocked, accept);
+  automata::Guard quiet;  // TRUE ψ+
+  quiet.positive = logic::PosFormula::True();
+  quiet.negated = {mobile_post};
+  a.AddTransition(s0, quiet, s0);
+  automata::Guard twin;  // the same guard to two targets
+  twin.positive = logic::PosFormula::And({bind2, address_post});
+  twin.negated = {mobile_pre, mobile_post};
+  a.AddTransition(s0, twin, dead);
+  a.AddTransition(s0, twin, dead2);
+  automata::Guard finish;
+  finish.positive = logic::PosFormula::And({bind2, join});
+  a.AddTransition(s1, finish, accept);
+  ASSERT_TRUE(a.Validate().ok());
+
+  schema::Instance initial(pd_.schema);
+  initial.AddFact(pd_.address, {Value::Str("Parks Rd"), Value::Str("OX13QD"),
+                                Value::Str("Jones"), Value::Int(16)});
+  automata::WitnessSearchOptions opts;
+  opts.max_path_length = 3;
+  obs::Registry& registry = obs::Registry::Get();
+  obs::Counter* accesses = registry.counter("automata.accesses");
+  obs::Counter* evals = registry.counter("automata.sentence_evals");
+  obs::Counter* candidates = registry.counter("automata.candidates");
+  automata::WitnessSearchResult serial;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    engine::ExecOptions exec;
+    exec.num_threads = threads;
+    uint64_t accesses0 = accesses->Value();
+    uint64_t evals0 = evals->Value();
+    uint64_t candidates0 = candidates->Value();
+    automata::WitnessSearchResult r =
+        automata::BoundedWitnessSearch(a, pd_.schema, initial, opts, exec);
+    uint64_t n_accesses = accesses->Value() - accesses0;
+    uint64_t n_evals = evals->Value() - evals0;
+    uint64_t n_candidates = candidates->Value() - candidates0;
+    ASSERT_TRUE(r.found) << threads << " workers";
+    EXPECT_FALSE(r.exhausted_budget) << threads << " workers";
+    EXPECT_TRUE(automata::Accepts(a, pd_.schema, r.witness, initial))
+        << PathKey(r.witness, pd_.schema);
+    EXPECT_EQ(r.witness.steps().size(), 2u) << PathKey(r.witness, pd_.schema);
+    EXPECT_GT(n_accesses, 0u);
+    EXPECT_LE(n_evals, kSentences * n_accesses) << threads << " workers";
+    // Several transitions decide each pool injection on one view.
+    EXPECT_LT(n_accesses, n_candidates) << threads << " workers";
+    if (threads == 1) {
+      serial = r;
+      continue;
+    }
+    EXPECT_EQ(PathKey(r.witness, pd_.schema),
+              PathKey(serial.witness, pd_.schema))
+        << threads << " workers";
+    EXPECT_EQ(r.nodes_explored, serial.nodes_explored) << threads;
+    EXPECT_EQ(r.visited_bytes, serial.visited_bytes) << threads;
+  }
 }
 
 }  // namespace
