@@ -1,6 +1,5 @@
 #include "src/ltl/sat.h"
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -13,40 +12,90 @@ namespace ltl {
 namespace {
 
 /// One tableau branch at a position: consistent literals plus the
-/// obligations shifted to the next position.
+/// obligations shifted to the next position (subformula ids).
 struct Branch {
   std::set<int> pos_lits;
   std::set<int> neg_lits;
   /// Obligations under strong X: the word must continue.
-  std::set<const LtlFormula*> next_strong;
+  std::set<int> next_strong;
   /// Obligations under weak N: honored only if the word continues.
-  std::set<const LtlFormula*> next_weak;
+  std::set<int> next_weak;
 };
 
-/// Keeps LtlPtr owners alive while we work with raw pointers.
+/// An obligation set: ids of NNF subformulas.
+using State = std::set<int>;
+
+/// The NNF of a formula with every subformula numbered once, in a
+/// pre-order walk. States and obligations are sets of those ids, so the
+/// order Expand walks them in — hence edge order, state numbering and
+/// everything compiled from the automaton — depends on the formula's
+/// structure only, never on where its nodes were allocated.
 class Tableau {
  public:
-  explicit Tableau(LtlPtr root) : root_(LtlFormula::Nnf(root)) {}
+  explicit Tableau(const LtlPtr& root) : root_(LtlFormula::Nnf(root)) {
+    std::map<const LtlFormula*, int> ids;
+    Number(root_.get(), &ids);
+  }
 
-  const LtlPtr& root() const { return root_; }
+  /// The id of the NNF root (always 0).
+  int root() const { return 0; }
 
   /// Expands a set of NNF formulas into all consistent branches.
-  std::vector<Branch> Expand(const std::set<const LtlFormula*>& state) {
+  std::vector<Branch> Expand(const State& state) const {
     std::vector<Branch> out;
-    std::vector<const LtlFormula*> pending(state.begin(), state.end());
+    std::vector<int> pending(state.begin(), state.end());
     Branch current;
     Rec(&pending, 0, &current, &out);
     return out;
   }
 
  private:
-  void Rec(std::vector<const LtlFormula*>* pending, size_t idx,
-           Branch* current, std::vector<Branch>* out) {
+  struct Node {
+    const LtlFormula* f;
+    /// Operand ids: the children of AND/OR, the child of NOT/X/N, and
+    /// (lhs, rhs) of U/R.
+    std::vector<int> kids;
+  };
+
+  int Number(const LtlFormula* f, std::map<const LtlFormula*, int>* ids) {
+    auto [it, fresh] = ids->emplace(f, static_cast<int>(nodes_.size()));
+    if (!fresh) return it->second;
+    int id = it->second;
+    nodes_.push_back(Node{f, {}});
+    std::vector<int> kids;
+    switch (f->kind()) {
+      case LtlKind::kAnd:
+      case LtlKind::kOr:
+        for (const LtlPtr& c : f->children()) {
+          kids.push_back(Number(c.get(), ids));
+        }
+        break;
+      case LtlKind::kNot:
+      case LtlKind::kNext:
+      case LtlKind::kWeakNext:
+        kids.push_back(Number(f->child().get(), ids));
+        break;
+      case LtlKind::kUntil:
+      case LtlKind::kRelease:
+        kids.push_back(Number(f->lhs().get(), ids));
+        kids.push_back(Number(f->rhs().get(), ids));
+        break;
+      default:
+        break;
+    }
+    nodes_[static_cast<size_t>(id)].kids = std::move(kids);
+    return id;
+  }
+
+  void Rec(std::vector<int>* pending, size_t idx, Branch* current,
+           std::vector<Branch>* out) const {
     if (idx == pending->size()) {
       out->push_back(*current);
       return;
     }
-    const LtlFormula* f = (*pending)[idx];
+    const int id = (*pending)[idx];
+    const Node& node = nodes_[static_cast<size_t>(id)];
+    const LtlFormula* f = node.f;
     switch (f->kind()) {
       case LtlKind::kTrue:
         Rec(pending, idx + 1, current, out);
@@ -71,65 +120,67 @@ class Tableau {
       }
       case LtlKind::kAnd: {
         size_t old_size = pending->size();
-        for (const LtlPtr& c : f->children()) pending->push_back(c.get());
+        for (int c : node.kids) pending->push_back(c);
         Rec(pending, idx + 1, current, out);
         pending->resize(old_size);
         return;
       }
       case LtlKind::kOr: {
-        for (const LtlPtr& c : f->children()) {
+        for (int c : node.kids) {
           size_t old_size = pending->size();
-          pending->push_back(c.get());
+          pending->push_back(c);
           Rec(pending, idx + 1, current, out);
           pending->resize(old_size);
         }
         return;
       }
       case LtlKind::kNext: {
-        bool added = current->next_strong.insert(f->child().get()).second;
+        bool added = current->next_strong.insert(node.kids[0]).second;
         Rec(pending, idx + 1, current, out);
-        if (added) current->next_strong.erase(f->child().get());
+        if (added) current->next_strong.erase(node.kids[0]);
         return;
       }
       case LtlKind::kWeakNext: {
-        bool added = current->next_weak.insert(f->child().get()).second;
+        bool added = current->next_weak.insert(node.kids[0]).second;
         Rec(pending, idx + 1, current, out);
-        if (added) current->next_weak.erase(f->child().get());
+        if (added) current->next_weak.erase(node.kids[0]);
         return;
       }
       case LtlKind::kUntil: {
         // φ U ψ ≡ ψ ∨ (φ ∧ X(φ U ψ))
+        const int lhs = node.kids[0], rhs = node.kids[1];
         {
           size_t old_size = pending->size();
-          pending->push_back(f->rhs().get());
+          pending->push_back(rhs);
           Rec(pending, idx + 1, current, out);
           pending->resize(old_size);
         }
         {
           size_t old_size = pending->size();
-          pending->push_back(f->lhs().get());
-          bool added = current->next_strong.insert(f).second;
+          pending->push_back(lhs);
+          bool added = current->next_strong.insert(id).second;
           Rec(pending, idx + 1, current, out);
-          if (added) current->next_strong.erase(f);
+          if (added) current->next_strong.erase(id);
           pending->resize(old_size);
         }
         return;
       }
       case LtlKind::kRelease: {
         // φ R ψ ≡ ψ ∧ (φ ∨ N(φ R ψ))
+        const int lhs = node.kids[0], rhs = node.kids[1];
         {
           size_t old_size = pending->size();
-          pending->push_back(f->rhs().get());
-          pending->push_back(f->lhs().get());
+          pending->push_back(rhs);
+          pending->push_back(lhs);
           Rec(pending, idx + 1, current, out);
           pending->resize(old_size);
         }
         {
           size_t old_size = pending->size();
-          pending->push_back(f->rhs().get());
-          bool added = current->next_weak.insert(f).second;
+          pending->push_back(rhs);
+          bool added = current->next_weak.insert(id).second;
           Rec(pending, idx + 1, current, out);
-          if (added) current->next_weak.erase(f);
+          if (added) current->next_weak.erase(id);
           pending->resize(old_size);
         }
         return;
@@ -137,14 +188,16 @@ class Tableau {
     }
   }
 
+  /// Keeps the NNF's nodes alive while `nodes_` points into it.
   LtlPtr root_;
+  /// Subformula id -> node, in pre-order.
+  std::vector<Node> nodes_;
 };
 
 }  // namespace
 
 Result<TableauAutomaton> BuildTableau(const LtlPtr& f, size_t max_states) {
   Tableau tableau(f);
-  using State = std::set<const LtlFormula*>;
   TableauAutomaton out;
   std::map<State, int> state_ids;
   std::vector<State> worklist;
@@ -158,7 +211,7 @@ Result<TableauAutomaton> BuildTableau(const LtlPtr& f, size_t max_states) {
     return id;
   };
 
-  State initial = {tableau.root().get()};
+  State initial = {tableau.root()};
   out.initial = intern(initial);
   for (size_t next = 0; next < worklist.size(); ++next) {
     if (state_ids.size() > max_states) {
@@ -187,7 +240,6 @@ SatResult CheckSatFinite(const LtlPtr& f, size_t max_states) {
   Tableau tableau(f);
 
   // Phase 1: forward-explore the reachable obligation-set graph.
-  using State = std::set<const LtlFormula*>;
   struct Edge {
     std::set<int> pos_lits;
     int successor = -1;  // -1: the word may end on this branch
@@ -206,7 +258,7 @@ SatResult CheckSatFinite(const LtlPtr& f, size_t max_states) {
     return id;
   };
 
-  State initial = {tableau.root().get()};
+  State initial = {tableau.root()};
   intern(initial);
   for (size_t next = 0; next < worklist.size(); ++next) {
     if (state_ids.size() > max_states) {

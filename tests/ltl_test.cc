@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/ltl/sat.h"
 #include "src/ltl/tableau.h"
+
 
 namespace accltl {
 namespace ltl {
@@ -109,6 +112,55 @@ TEST(TableauTest, BuildsReachableGraph) {
     if (e.pos_lits.count(0) > 0 && e.may_end) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+/// (F p0 ∧ G(p1 ∨ X p2)) ∧ (p0 U (p1 ∧ N p2)), its operands built
+/// left to right or right to left.
+LtlPtr ObligationHeavyFormula(bool right_to_left) {
+  if (!right_to_left) {
+    LtlPtr f0 = LtlFormula::Eventually(P(0));
+    LtlPtr g = LtlFormula::Globally(
+        LtlFormula::Or({P(1), LtlFormula::Next(P(2))}));
+    LtlPtr u = LtlFormula::Until(
+        P(0), LtlFormula::And({P(1), LtlFormula::WeakNext(P(2))}));
+    return LtlFormula::And({LtlFormula::And({f0, g}), u});
+  }
+  LtlPtr wn = LtlFormula::WeakNext(P(2));
+  LtlPtr u = LtlFormula::Until(P(0), LtlFormula::And({P(1), wn}));
+  LtlPtr x = LtlFormula::Next(P(2));
+  LtlPtr g = LtlFormula::Globally(LtlFormula::Or({P(1), x}));
+  LtlPtr f0 = LtlFormula::Eventually(P(0));
+  return LtlFormula::And({LtlFormula::And({f0, g}), u});
+}
+
+TEST(TableauTest, IndependentOfAllocationOrder) {
+  // Obligation sets are keyed by subformula ids from a pre-order walk,
+  // not by node addresses: a formula built after the allocator has
+  // been churned (freed nodes get reused in reverse order) compiles to
+  // the same automaton, edge for edge.
+  Result<TableauAutomaton> a =
+      BuildTableau(ObligationHeavyFormula(/*right_to_left=*/false), 1000);
+  std::vector<LtlPtr> churn;
+  for (int i = 0; i < 256; ++i) {
+    churn.push_back(LtlFormula::Next(P(i)));
+  }
+  for (size_t i = 0; i < churn.size(); i += 2) churn[i].reset();
+  Result<TableauAutomaton> b =
+      BuildTableau(ObligationHeavyFormula(/*right_to_left=*/true), 1000);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a.value().initial, b.value().initial);
+  EXPECT_EQ(a.value().num_states, b.value().num_states);
+  ASSERT_EQ(a.value().edges.size(), b.value().edges.size());
+  for (size_t i = 0; i < a.value().edges.size(); ++i) {
+    const TableauEdge& x = a.value().edges[i];
+    const TableauEdge& y = b.value().edges[i];
+    EXPECT_EQ(x.from, y.from) << "edge " << i;
+    EXPECT_EQ(x.to, y.to) << "edge " << i;
+    EXPECT_EQ(x.pos_lits, y.pos_lits) << "edge " << i;
+    EXPECT_EQ(x.neg_lits, y.neg_lits) << "edge " << i;
+    EXPECT_EQ(x.may_end, y.may_end) << "edge " << i;
+  }
 }
 
 /// Exhaustive cross-check: tableau satisfiability agrees with brute
