@@ -8,8 +8,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_context.h"
@@ -21,6 +23,7 @@
 #include "src/common/rng.h"
 #include "src/engine/cancel.h"
 #include "src/engine/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/schema/lts.h"
 #include "src/workload/workload.h"
 
@@ -58,6 +61,44 @@ BENCHMARK(BM_RawThreadScalingControl)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
 
+/// Per-search work of a schedule-independent sweep: the deltas of
+/// engine counters (`automata.*` or `analysis.zero.*`) over one search,
+/// recorded as benchmark counters under their last name component.
+/// They repeat exactly across runs and worker counts, so
+/// tools/bench_compare.py gates them.
+class WorkCounters {
+ public:
+  WorkCounters(const char* prefix, std::vector<const char*> names)
+      : names_(std::move(names)) {
+    obs::SetMetricsEnabled(true);
+    for (const char* name : names_) {
+      counters_.push_back(
+          obs::Registry::Get().counter(std::string(prefix) + name));
+    }
+    before_.resize(counters_.size());
+  }
+  void Start() {
+    for (size_t i = 0; i < counters_.size(); ++i) {
+      before_[i] = counters_[i]->Value();
+    }
+  }
+  void Record(benchmark::State& state) const {
+    for (size_t i = 0; i < counters_.size(); ++i) {
+      state.counters[names_[i]] =
+          static_cast<double>(counters_[i]->Value() - before_[i]);
+    }
+  }
+
+ private:
+  std::vector<const char*> names_;
+  std::vector<obs::Counter*> counters_;
+  std::vector<uint64_t> before_;
+};
+
+WorkCounters AutomataWork() {
+  return WorkCounters("automata.", {"candidates", "accesses", "children"});
+}
+
 const char kDiamondExhaustive[] =
     "F [EXISTS n . IsBind_AcM1(n) AND "
     "(EXISTS p,s,ph . Mobile_post(n,p,s,ph))] AND "
@@ -86,10 +127,13 @@ void BM_ParallelWitnessDiamond(benchmark::State& state) {
   opts.max_path_length = 3;
   engine::ExecOptions exec;
   exec.num_threads = static_cast<size_t>(state.range(0));
+  WorkCounters work = AutomataWork();
   for (auto _ : state) {
+    work.Start();
     automata::WitnessSearchResult r = automata::BoundedWitnessSearch(
         a, pd.schema, schema::Instance(pd.schema), opts, exec);
     benchmark::DoNotOptimize(r.found);
+    work.Record(state);
     state.counters["nodes"] = static_cast<double>(r.nodes_explored);
     state.counters["found"] = r.found ? 1 : 0;
     state.counters["visited_bytes"] = static_cast<double>(r.visited_bytes);
@@ -280,10 +324,13 @@ void BM_ParallelZeroSolverSweep(benchmark::State& state) {
   opts.max_path_length = 3;
   engine::ExecOptions exec;
   exec.num_threads = static_cast<size_t>(state.range(0));
+  WorkCounters work("analysis.zero.", {"candidates", "children"});
   for (auto _ : state) {
+    work.Start();
     Result<analysis::ZeroSolverResult> r =
         analysis::CheckZeroArySatisfiable(f, pd.schema, opts, exec);
     benchmark::DoNotOptimize(r.ok());
+    work.Record(state);
     state.counters["nodes"] =
         static_cast<double>(r.value().nodes_explored);
     state.counters["found"] = r.value().satisfiable ? 1 : 0;
@@ -333,10 +380,13 @@ void BM_ParallelBoundedWitnessSweep(benchmark::State& state) {
   opts.max_path_length = 3;
   engine::ExecOptions exec;
   exec.num_threads = static_cast<size_t>(state.range(0));
+  WorkCounters work = AutomataWork();
   for (auto _ : state) {
+    work.Start();
     automata::WitnessSearchResult r = automata::BoundedWitnessSearch(
         a, bounded, seeded, opts, exec);
     benchmark::DoNotOptimize(r.found);
+    work.Record(state);
     state.counters["nodes"] = static_cast<double>(r.nodes_explored);
     state.counters["found"] = r.found ? 1 : 0;
     state.counters["truncated"] = r.exhausted_budget ? 1 : 0;

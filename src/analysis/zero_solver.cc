@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -477,13 +476,6 @@ class ZeroSolver {
   }
 
  private:
-  /// The letter of a candidate access: the truth of every atom, by id.
-  std::vector<char> Letter(const logic::StructureView& view) const {
-    std::vector<char> letter;
-    compiled_.atoms.EvalEach(view, &letter);
-    return letter;
-  }
-
   // --- Engine plumbing (mirrors automata::BoundedWitnessSearch) -------------
 
   static uint64_t NodeHash(const ZeroNode& node) {
@@ -831,7 +823,8 @@ class ZeroSolver {
   std::vector<Child> Expand(const ZeroNode& node) {
     std::vector<Child> children;
     size_t candidates = 0;
-    Generate(node, &children, &candidates);
+    Scratch scratch;
+    Generate(node, &scratch, &children, &candidates);
     const ZeroMetrics& metrics = ZeroMetrics::Get();
     metrics.expansions->Inc();
     metrics.candidates->Inc(candidates);
@@ -839,51 +832,72 @@ class ZeroSolver {
     return children;
   }
 
-  void Generate(const ZeroNode& node, std::vector<Child>* children,
-                size_t* candidates_out) {
+  /// One expansion's candidate buffers: every (method, binding group,
+  /// pool subset) candidate of a node is decided on these, so the
+  /// candidate loop allocates only for the children it keeps.
+  struct Scratch {
+    /// The current binding group's pool facts this node lacks.
+    std::vector<size_t> members;
+    /// The current subset, as indices into `members`.
+    std::vector<size_t> idx;
+    /// The current candidate: its access (one per binding group) and
+    /// response (pool indices, then their fact ids in tuple order).
+    schema::Access access;
+    std::vector<size_t> chosen;
+    std::vector<store::FactId> response_ids;
+    /// The CandidateView's buffer, the letter, and the tableau step's
+    /// successor states (sorted, duplicate-free).
+    std::vector<store::FactId> view_ids;
+    std::vector<char> letter;
+    std::vector<int> next_states;
+  };
+
+  void Generate(const ZeroNode& node, Scratch* sc,
+                std::vector<Child>* children, size_t* candidates_out) {
     // The active domain is stable across this node's enumeration;
     // compute it once, on first need (it is only consulted for
     // synthesized bindings and grounded checks).
     schema::LazyActiveDomain domain(node.config);
-
-    // A group's pool facts this node has not injected yet.
-    std::vector<size_t> members;
+    schema::Access& access = sc->access;
     for (AccessMethodId m = 0; m < schema_.num_access_methods(); ++m) {
       const schema::AccessMethod& am = schema_.method(m);
+      access.method = m;
       size_t enumerated = 0;
       bool capped = false;
       // The empty response first: synthesize a binding (grounded mode
       // draws from the revealed domain).
       ++enumerated;
       {
-        Tuple b;
+        access.binding.clear();
         bool bind_ok = true;
         const schema::Relation& rel = schema_.relation(am.relation);
         for (schema::Position p : am.input_positions) {
           ValueType type = rel.position_types[static_cast<size_t>(p)];
-          std::optional<Value> v;
+          const Value* found = nullptr;
           for (const Value& cand : domain.get()) {
             if (cand.type() == type) {
-              v = cand;
+              found = &cand;
               break;
             }
           }
-          if (!v.has_value()) {
-            if (options_.grounded) {
-              bind_ok = false;
-              break;
-            }
-            v = Value::Int(-3000000 - static_cast<int64_t>(node.depth));
-            if (type == ValueType::kString) {
-              v = Value::Str("~b" + std::to_string(node.depth));
-            } else if (type == ValueType::kBool) {
-              v = Value::Bool(false);
-            }
+          if (found != nullptr) {
+            access.binding.push_back(*found);
+          } else if (options_.grounded) {
+            bind_ok = false;
+            break;
+          } else if (type == ValueType::kString) {
+            access.binding.push_back(
+                Value::Str("~b" + std::to_string(node.depth)));
+          } else if (type == ValueType::kBool) {
+            access.binding.push_back(Value::Bool(false));
+          } else {
+            access.binding.push_back(
+                Value::Int(-3000000 - static_cast<int64_t>(node.depth)));
           }
-          b.push_back(*v);
         }
         if (bind_ok) {
-          TryChild(node, m, std::move(b), {}, children, candidates_out);
+          sc->chosen.clear();
+          TryChild(node, sc, children, candidates_out);
         }
       }
       // Non-empty responses: combinations of 1..max_facts_per_step
@@ -902,6 +916,7 @@ class ZeroSolver {
         uint64_t group = compiled_.groups[g];
         uint64_t live = group & ~node.facts;
         if (live == 0) continue;
+        std::vector<size_t>& members = sc->members;
         members.clear();
         for (size_t i = 0; i < plan_.pool.size(); ++i) {
           if (live >> i & 1) members.push_back(i);
@@ -909,13 +924,14 @@ class ZeroSolver {
         // Every fact of the group has the binding; take its first's.
         size_t first = 0;
         while ((group >> first & 1) == 0) ++first;
-        Tuple binding;
+        access.binding.clear();
         for (schema::Position p : am.input_positions) {
-          binding.push_back(plan_.PoolValue(first, static_cast<size_t>(p)));
+          access.binding.push_back(
+              plan_.PoolValue(first, static_cast<size_t>(p)));
         }
         if (options_.grounded) {
           bool ok = true;
-          for (const Value& v : binding) {
+          for (const Value& v : access.binding) {
             if (domain.get().count(v) == 0) {
               ok = false;
               break;
@@ -924,19 +940,19 @@ class ZeroSolver {
           if (!ok) continue;
         }
         size_t n = members.size();
+        std::vector<size_t>& idx = sc->idx;
         for (size_t k = 1; k <= std::min(max_k, n) && !capped; ++k) {
           // Lexicographic index combinations of size k.
-          std::vector<size_t> idx(k);
+          idx.resize(k);
           for (size_t i = 0; i < k; ++i) idx[i] = i;
           for (;;) {
             if (++enumerated > options_.max_subsets_per_access) {
               capped = true;
               break;
             }
-            std::vector<size_t> chosen;
-            chosen.reserve(k);
-            for (size_t i : idx) chosen.push_back(members[i]);
-            TryChild(node, m, binding, chosen, children, candidates_out);
+            sc->chosen.clear();
+            for (size_t i : idx) sc->chosen.push_back(members[i]);
+            TryChild(node, sc, children, candidates_out);
             // Advance the combination.
             size_t pos = k;
             while (pos > 0 && idx[pos - 1] == n - (k - pos) - 1) --pos;
@@ -950,44 +966,49 @@ class ZeroSolver {
     }
   }
 
-  /// Decides one (method, binding, pool-fact subset) candidate: the
-  /// idempotence filter, then the letter on the pre+response view
-  /// (logic::CandidateView) and the tableau step. Only a surviving
-  /// candidate gets its post-instance built.
-  void TryChild(const ZeroNode& node, AccessMethodId m, Tuple binding,
-                const std::vector<size_t>& chosen,
+  /// Decides the candidate in `sc` (its access, and the pool facts
+  /// `chosen` as the response): the idempotence filter, then the
+  /// letter on the pre+response view (logic::CandidateView) and the
+  /// tableau step. Only a surviving candidate gets its post-instance
+  /// built.
+  void TryChild(const ZeroNode& node, Scratch* sc,
                 std::vector<Child>* children, size_t* candidates) {
+    const schema::Access& access = sc->access;
+    std::vector<size_t>& chosen = sc->chosen;
     uint64_t new_facts = node.facts;
     for (size_t i : chosen) new_facts |= uint64_t{1} << i;
-    schema::Access access{m, std::move(binding)};
     if (options_.require_idempotent) {
-      schema::Response response;
-      for (size_t i : chosen) response.insert(plan_.PoolTuple(i));
+      // Repeating an earlier access must repeat its response.
+      std::optional<schema::Response> response;
       for (const PathLink* link : node.links) {
-        if (link->step.access == access &&
-            link->step.response != response) {
-          return;
+        if (!(link->step.access == access)) continue;
+        if (!response) {
+          response.emplace();
+          for (size_t i : chosen) response->insert(plan_.PoolTuple(i));
         }
+        if (link->step.response != *response) return;
       }
     }
     // Resolve in tuple order, the order a response set interns in, so
     // fact ids (hence compact-mode trie shapes) match the tuple path.
-    std::vector<size_t> in_order = chosen;
-    if (in_order.size() > 1) {
-      std::sort(in_order.begin(), in_order.end(), [&](size_t a, size_t b) {
+    if (chosen.size() > 1) {
+      std::sort(chosen.begin(), chosen.end(), [&](size_t a, size_t b) {
         return compiled_.tuple_rank[a] < compiled_.tuple_rank[b];
       });
     }
-    std::vector<store::FactId> response_ids;
-    response_ids.reserve(in_order.size());
-    for (size_t i : in_order) response_ids.push_back(plan_.PoolId(i));
+    std::vector<store::FactId>& response_ids = sc->response_ids;
+    response_ids.clear();
+    for (size_t i : chosen) response_ids.push_back(plan_.PoolId(i));
     ++*candidates;
 
     // Advance the tableau over this letter.
-    std::vector<char> letter =
-        Letter(logic::CandidateView(schema_, node.config, access,
-                                    response_ids));
-    std::set<int> next_states;
+    compiled_.atoms.EvalEach(
+        logic::CandidateView(schema_, node.config, access, response_ids,
+                             &sc->view_ids),
+        &sc->letter);
+    const std::vector<char>& letter = sc->letter;
+    std::vector<int>& next_states = sc->next_states;
+    next_states.clear();
     bool may_end = false;
     for (int s : node.tableau) {
       for (uint32_t ei = plan_.state_edges[static_cast<size_t>(s)];
@@ -1000,16 +1021,20 @@ class ZeroSolver {
           match = holds == (i < e.num_pos);
         }
         if (!match) continue;
-        next_states.insert(e.to);
+        auto at = std::lower_bound(next_states.begin(), next_states.end(),
+                                   e.to);
+        if (at == next_states.end() || *at != e.to) {
+          next_states.insert(at, e.to);
+        }
         may_end = may_end || e.may_end;
       }
     }
     if (next_states.empty() && !may_end) return;
     schema::Transition t = schema::MakeTransitionFromIds(
-        schema_, node.config, std::move(access), response_ids);
+        schema_, node.config, access, response_ids);
     Child child;
     child.facts = new_facts;
-    child.tableau.assign(next_states.begin(), next_states.end());
+    child.tableau = next_states;
     child.post = std::move(t.post);
     child.step = schema::AccessStep{std::move(t.access),
                                     std::move(t.response)};

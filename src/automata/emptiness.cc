@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,408 +55,98 @@ struct WitnessMetrics {
 
 using logic::Cq;
 using logic::CqAtom;
-using logic::Env;
 using logic::PredSpace;
 using schema::AccessMethodId;
 using schema::Instance;
 using schema::RelationId;
 
-/// One way to take an automaton transition as a concrete access.
-struct Realization {
-  AccessMethodId method = 0;
-  Tuple binding;
-  std::vector<Tuple> new_facts;
-  /// Interned ids of new_facts (same order): lets the searcher build
-  /// the post configuration without re-interning tuple data.
-  std::vector<store::FactId> new_fact_ids;
-};
-
-/// Enumerates concrete realizations of a guard disjunct from the
-/// current instance; calls `fn` for each (stop when it returns true).
-class RealizationEnumerator {
- public:
-  RealizationEnumerator(const schema::Schema& schema, const Instance& current,
-                        const WitnessSearchOptions& options,
-                        int64_t fresh_base,
-                        store::MatchIndexCache::LocalView* index,
-                        schema::LazyActiveDomain* domain)
-      : schema_(schema),
-        current_(current),
-        options_(options),
-        base_factory_(logic::FreshValueFactory::StartingAt(fresh_base)),
-        index_(index),
-        domain_(domain) {}
-
-  /// True when max_realizations_per_step cut the enumeration short:
-  /// a non-exhaustive step means the overall search may be incomplete.
-  bool truncated() const { return truncated_; }
-
-  bool ForEach(const Cq& disjunct,
-               const std::function<bool(const Realization&)>& fn) {
-    // Partition atoms by space.
-    std::vector<const CqAtom*> pre, post, bind;
-    for (const CqAtom& a : disjunct.atoms) {
-      switch (a.pred.space) {
-        case PredSpace::kPre:
-          pre.push_back(&a);
-          break;
-        case PredSpace::kPost:
-          post.push_back(&a);
-          break;
-        case PredSpace::kBind:
-          bind.push_back(&a);
-          break;
-        case PredSpace::kPlain:
-          return false;  // not a transition formula
-      }
-    }
-    // All bind atoms must agree on the method (a transition has one).
-    std::optional<AccessMethodId> method;
-    for (const CqAtom* b : bind) {
-      if (method.has_value() && *method != b->pred.id) return false;
-      method = b->pred.id;
-    }
-    std::vector<AccessMethodId> methods;
-    if (method.has_value()) {
-      methods.push_back(*method);
-    } else {
-      for (AccessMethodId m = 0; m < schema_.num_access_methods(); ++m) {
-        methods.push_back(m);
-      }
-    }
-    emitted_ = 0;
-    for (AccessMethodId m : methods) {
-      // Choose which post atoms denote newly returned tuples. Post atoms
-      // can also map to already-revealed facts; mapping to *other* new
-      // facts is covered by putting both atoms in the new set.
-      RelationId target = schema_.method(m).relation;
-      size_t subsets = size_t{1} << post.size();
-      for (size_t mask = 0; mask < subsets; ++mask) {
-        std::vector<const CqAtom*> as_new, as_old;
-        bool ok = true;
-        for (size_t i = 0; i < post.size(); ++i) {
-          if (mask & (size_t{1} << i)) {
-            if (post[i]->pred.id != target) {
-              ok = false;
-              break;
-            }
-            as_new.push_back(post[i]);
-          } else {
-            as_old.push_back(post[i]);
-          }
-        }
-        if (!ok) continue;
-        if (Match(disjunct, m, pre, as_old, as_new, bind, fn)) return true;
-        // truncated_ is set exactly when the cap suppressed a completed
-        // match; enumeration past the cap without suppression proves
-        // exhaustiveness and must not flag the result as unknown.
-        if (truncated_) return false;
-      }
-    }
-    return false;
-  }
-
- private:
-  /// Backtracking match of pre/old-post atoms against revealed facts,
-  /// then instantiation of new facts and the binding.
-  bool Match(const Cq& disjunct, AccessMethodId m,
-             const std::vector<const CqAtom*>& pre,
-             const std::vector<const CqAtom*>& as_old,
-             const std::vector<const CqAtom*>& as_new,
-             const std::vector<const CqAtom*>& bind,
-             const std::function<bool(const Realization&)>& fn) {
-    std::vector<const CqAtom*> to_match = pre;
-    to_match.insert(to_match.end(), as_old.begin(), as_old.end());
-    Env env;
-    std::function<bool(size_t)> rec = [&](size_t idx) -> bool {
-      if (truncated_) return false;
-      if (idx == to_match.size()) {
-        if (emitted_ >= options_.max_realizations_per_step) {
-          // The cap is suppressing a fully-matched candidate: the step
-          // is non-exhaustive from here on.
-          truncated_ = true;
-          return false;
-        }
-        return Finish(disjunct, m, as_new, bind, &env, fn);
-      }
-      const CqAtom& atom = *to_match[idx];
-      auto try_tuple = [&](const Tuple& tuple) -> bool {
-        if (tuple.size() != atom.terms.size()) return false;
-        std::vector<std::string> newly;
-        bool ok = true;
-        for (size_t i = 0; i < tuple.size(); ++i) {
-          const logic::Term& t = atom.terms[i];
-          if (t.is_const()) {
-            if (t.value() != tuple[i]) {
-              ok = false;
-              break;
-            }
-          } else {
-            auto it = env.find(t.var_name());
-            if (it != env.end()) {
-              if (it->second != tuple[i]) {
-                ok = false;
-                break;
-              }
-            } else {
-              env[t.var_name()] = tuple[i];
-              newly.push_back(t.var_name());
-            }
-          }
-        }
-        if (ok && rec(idx + 1)) return true;
-        for (const std::string& v : newly) env.erase(v);
-        return false;
-      };
-      // Candidate selection: when some atom position carries a bound
-      // value (constant or env-bound variable), scan only the facts
-      // matching it via the memoized per-relation index; COW sharing
-      // makes the index valid across all nodes sharing the relation.
-      const store::Store& store = store::Store::Get();
-      int bound_pos = -1;
-      store::ValueId bound_val = store::kNoValueId;
-      bool dead = false;
-      for (size_t i = 0; i < atom.terms.size(); ++i) {
-        const logic::Term& t = atom.terms[i];
-        const Value* v = nullptr;
-        if (t.is_const()) {
-          v = &t.value();
-        } else {
-          auto it = env.find(t.var_name());
-          if (it != env.end()) v = &it->second;
-        }
-        if (v == nullptr) continue;
-        bound_pos = static_cast<int>(i);
-        bound_val = store.TryFindValue(*v);
-        // A never-interned value occurs in no instance fact: no match.
-        dead = bound_val == store::kNoValueId;
-        break;
-      }
-      if (dead) return false;
-      if (bound_pos >= 0) {
-        const std::vector<store::FactId>& candidates = index_->Lookup(
-            current_.facts(atom.pred.id), bound_pos, bound_val);
-        for (store::FactId fact : candidates) {
-          if (try_tuple(store.tuple(fact))) return true;
-        }
-        return false;
-      }
-      for (const Tuple& tuple : current_.tuples(atom.pred.id)) {
-        if (try_tuple(tuple)) return true;
-      }
-      return false;
-    };
-    return rec(0);
-  }
-
-  /// Term to value: bound / constant / fresh (registering in env).
-  std::optional<Value> Resolve(const logic::Term& t, ValueType type, Env* env,
-                               logic::FreshValueFactory* factory,
-                               bool allow_fresh) {
-    if (t.is_const()) return t.value();
-    auto it = env->find(t.var_name());
-    if (it != env->end()) return it->second;
-    if (!allow_fresh) return std::nullopt;
-    Value v = factory->Fresh(type);
-    (*env)[t.var_name()] = v;
-    return v;
-  }
-
-  bool Finish(const Cq& disjunct, AccessMethodId m,
-              const std::vector<const CqAtom*>& as_new,
-              const std::vector<const CqAtom*>& bind, Env* env,
-              const std::function<bool(const Realization&)>& fn) {
-    const schema::AccessMethod& method = schema_.method(m);
-    const schema::Relation& rel = schema_.relation(method.relation);
-    Env saved = *env;
-    auto restore = [&] { *env = saved; };
-    // Every candidate draws fresh values from the node's base (which
-    // is a function of the node's configuration), so a realization's
-    // fresh values depend only on the node and the candidate itself —
-    // never on how many sibling candidates were enumerated before it.
-    // That makes the child *set* independent of enumeration order,
-    // hence of the global fact-interning order, hence of the worker
-    // schedule; and it makes equal configurations expand to
-    // content-identical subtrees, which is what lets the visited
-    // table transfer subtrees between path-equivalent nodes.
-    logic::FreshValueFactory factory = base_factory_;
-
-    Realization r;
-    r.method = m;
-
-    // 0-ary IsBind atoms (the Sch0−Acc abstraction) constrain only the
-    // method, not the binding values — drop them here.
-    std::vector<const CqAtom*> bind_full;
-    for (const CqAtom* b : bind) {
-      if (static_cast<int>(b->terms.size()) == method.num_inputs() &&
-          !b->terms.empty()) {
-        bind_full.push_back(b);
-      }
-    }
-
-    // Binding first: bind-atom terms; grounded mode forbids fresh values
-    // in bindings.
-    if (!bind_full.empty()) {
-      const CqAtom& batom = *bind_full[0];
-      for (size_t i = 0; i < batom.terms.size(); ++i) {
-        ValueType type = rel.position_types[static_cast<size_t>(
-            method.input_positions[i])];
-        std::optional<Value> v =
-            Resolve(batom.terms[i], type, env, &factory, /*allow_fresh=*/
-                    !options_.grounded);
-        if (!v.has_value()) {
-          restore();
-          return false;
-        }
-        r.binding.push_back(*v);
-      }
-      // Remaining bind atoms (same method) must agree.
-      for (size_t b = 1; b < bind_full.size(); ++b) {
-        for (size_t i = 0; i < bind_full[b]->terms.size(); ++i) {
-          ValueType type = rel.position_types[static_cast<size_t>(
-              method.input_positions[i])];
-          std::optional<Value> v = Resolve(bind_full[b]->terms[i], type, env,
-                                           &factory, !options_.grounded);
-          if (!v.has_value() || *v != r.binding[i]) {
-            restore();
-            return false;
-          }
-        }
-      }
-    }
-
-    // New facts. When the binding is already fixed (bind atoms), the
-    // response must agree with it on input positions — propagate the
-    // binding into unbound variables there instead of inventing fresh
-    // values that could never agree.
-    for (const CqAtom* a : as_new) {
-      if (!r.binding.empty()) {
-        for (size_t i = 0; i < method.input_positions.size(); ++i) {
-          const logic::Term& term =
-              a->terms[static_cast<size_t>(method.input_positions[i])];
-          if (term.is_var() && env->find(term.var_name()) == env->end()) {
-            (*env)[term.var_name()] = r.binding[i];
-          }
-        }
-      }
-      Tuple t;
-      t.reserve(a->terms.size());
-      bool ok = true;
-      for (size_t i = 0; i < a->terms.size(); ++i) {
-        std::optional<Value> v =
-            Resolve(a->terms[i], rel.position_types[i], env, &factory, true);
-        if (!v.has_value()) {
-          ok = false;
-          break;
-        }
-        t.push_back(*v);
-      }
-      if (!ok) {
-        restore();
-        return false;
-      }
-      r.new_facts.push_back(std::move(t));
-    }
-
-    // Derive or check the binding from the new facts.
-    if (bind_full.empty()) {
-      if (!r.new_facts.empty()) {
-        for (schema::Position p : method.input_positions) {
-          r.binding.push_back(r.new_facts[0][static_cast<size_t>(p)]);
-        }
-      } else {
-        // Free access: pick deterministic binding values.
-        for (schema::Position p : method.input_positions) {
-          ValueType type = rel.position_types[static_cast<size_t>(p)];
-          std::optional<Value> v;
-          if (options_.grounded) {
-            for (const Value& cand : domain_->get()) {
-              if (cand.type() == type) {
-                v = cand;
-                break;
-              }
-            }
-          } else {
-            v = factory.Fresh(type);
-          }
-          if (!v.has_value()) {
-            restore();
-            return false;  // grounded and nothing to enter into the form
-          }
-          r.binding.push_back(*v);
-        }
-      }
-      if (options_.grounded) {
-        const std::set<Value>& dom = domain_->get();
-        for (const Value& v : r.binding) {
-          if (dom.count(v) == 0) {
-            restore();
-            return false;
-          }
-        }
-      }
-    }
-    // Responses must agree with the binding on input positions.
-    for (const Tuple& t : r.new_facts) {
-      for (size_t i = 0; i < method.input_positions.size(); ++i) {
-        if (t[static_cast<size_t>(method.input_positions[i])] !=
-            r.binding[i]) {
-          restore();
-          return false;
-        }
-      }
-    }
-    // Inequalities of the disjunct.
-    for (const auto& [l, rterm] : disjunct.neqs) {
-      auto value_of = [&](const logic::Term& t) -> std::optional<Value> {
-        if (t.is_const()) return t.value();
-        auto it = env->find(t.var_name());
-        if (it == env->end()) return std::nullopt;
-        return it->second;
-      };
-      std::optional<Value> lv = value_of(l), rv = value_of(rterm);
-      if (!lv.has_value() || !rv.has_value() || *lv == *rv) {
-        restore();
-        return false;
-      }
-    }
-    // Intern only on emit: rejected candidates (binding disagreement,
-    // inequalities) must not grow the append-only global store.
-    for (const Tuple& t : r.new_facts) {
-      r.new_fact_ids.push_back(store::Store::Get().InternTuple(t));
-    }
-    ++emitted_;
-    bool stop = fn(r);
-    restore();
-    return stop;
-  }
-
-  const schema::Schema& schema_;
-  const Instance& current_;
-  const WitnessSearchOptions& options_;
-  logic::FreshValueFactory base_factory_;
-  store::MatchIndexCache::LocalView* index_;
-  schema::LazyActiveDomain* domain_;
-  size_t emitted_ = 0;
-  bool truncated_ = false;
-};
-
 }  // namespace
 
-/// The search-independent compilation of an automaton: normalized UCQ
-/// guards, the guard-sentence table and the speculative fact pool.
-/// Building it costs UCQ normalization, sentence compilation and
+/// One way to realize a guard disjunct as a concrete access: an access
+/// method, plus the choice of which post atoms denote newly returned
+/// facts (the rest, and every pre atom, must match revealed facts).
+/// BuildPlan compiles one per (disjunct, method, post-subset mask) that
+/// can hold; a search runs it on a node (RealizationMatcher).
+///
+/// Variables and constants are slots, numbered once per disjunct:
+/// variables [0, num_vars), then constant k at num_vars + k. The match
+/// phase joins the match atoms against the configuration over
+/// store::ValueIds; whether each operand binds or checks, and which
+/// bound position probes the match index, is fixed here. The finish
+/// phase instantiates the binding and the new facts (drawing fresh
+/// values in the order the atoms list them), then checks agreement and
+/// the inequalities. The operands live in the plan's shared pools; a
+/// realizer holds ranges into them. The method's input positions and
+/// the relation's position types are read from the schema, which
+/// SearchPlan::BuiltFor ties to the one the plan was compiled for.
+struct Realizer {
+  /// One operand of a match atom.
+  struct Arg {
+    uint32_t slot = 0;
+    /// First occurrence of an unbound variable: bind; else compare.
+    bool bind = false;
+  };
+  /// A pre atom, or a post atom matched against revealed facts.
+  struct Atom {
+    RelationId relation = 0;
+    /// Its operands: SearchPlan::match_args[args_begin, +arity).
+    uint32_t args_begin = 0;
+    uint32_t arity = 0;
+    /// The first position bound before the atom (a constant or a
+    /// variable an earlier atom bound) — its value selects candidate
+    /// facts through the match index — or -1: scan the relation.
+    int index_pos = -1;
+  };
+
+  AccessMethodId method = 0;
+  uint32_t num_vars = 0;
+  /// SearchPlan::constants[constants_begin, +num_constants).
+  uint32_t constants_begin = 0;
+  uint32_t num_constants = 0;
+  /// SearchPlan::match_atoms[atoms_begin, +num_atoms).
+  uint32_t atoms_begin = 0;
+  uint32_t num_atoms = 0;
+  /// From SearchPlan::slots[slots_begin]: the variables a complete
+  /// match binds; then the full-arity IsBind atoms, one row of
+  /// num_inputs slots each; then the post atoms denoting new facts, one
+  /// row of arity slots each; then the inequalities, as slot pairs.
+  uint32_t slots_begin = 0;
+  uint16_t num_matched = 0;
+  uint16_t num_bind = 0;
+  uint16_t num_new = 0;
+  uint16_t num_neqs = 0;
+
+  uint32_t num_slots() const { return num_vars + num_constants; }
+};
+
+/// The search-independent compilation of an automaton: the realization
+/// programs and sentence table of its guards, and the speculative fact
+/// pool. Building it costs UCQ normalization, sentence compilation and
 /// freezing per guard, so the automaton owns it (PlanFor). External
 /// linkage: a_automaton.h forward-declares it.
 struct SearchPlan {
-  /// The distinct positive guards, as UCQs. A compiled tableau repeats
-  /// each literal set on many edges; transitions whose ψ+ has the same
-  /// sentences share one entry.
-  std::vector<logic::Ucq> guards;
-  /// Per distinct guard: it has a trivially-true disjunct (no atoms, no
+  /// Per distinct positive guard (transitions whose ψ+ has the same
+  /// sentences share one — a compiled tableau repeats each literal set
+  /// on many edges): it has a trivially-true disjunct (no atoms, no
   /// inequalities), so ψ+ holds on *every* transition and pool
   /// injection only needs to check ψ−.
   std::vector<bool> trivially_positive;
+  /// The realization programs: guard g's UCQ disjuncts are
+  /// [guard_disjuncts[g], guard_disjuncts[g + 1]), and disjunct d's
+  /// programs are realizers[disjunct_realizers[d],
+  /// disjunct_realizers[d + 1]), in (method, post-subset mask) order.
+  std::vector<uint32_t> guard_disjuncts;
+  std::vector<uint32_t> disjunct_realizers;
+  std::vector<Realizer> realizers;
+  /// The realizers' operand pools. A plan holds many small programs;
+  /// shared pools keep a prepared automaton small.
+  std::vector<Realizer::Atom> match_atoms;
+  std::vector<Realizer::Arg> match_args;
+  std::vector<uint32_t> slots;
+  /// The disjuncts' constants, and their store ids at compile time
+  /// (kNoValueId: not interned then; looked up again per run).
+  std::vector<Value> constants;
+  std::vector<store::ValueId> constant_ids;
   /// The distinct guard sentences, each compiled once and keyed by
   /// formula identity: every Guard::PositiveSentences() part and every
   /// γ of every ψ−. A compiled tableau reuses a few atoms on many
@@ -467,7 +156,7 @@ struct SearchPlan {
   /// One transition as the search decides it.
   struct Edge {
     int to = 0;
-    /// Its entry in `guards`.
+    /// Its distinct positive guard.
     uint32_t guard = 0;
     /// Ids into `sentences`: the parts of ψ+, and the γs of ψ−.
     std::vector<uint32_t> positive;
@@ -479,18 +168,29 @@ struct SearchPlan {
   struct Outgoing {
     /// Indices into `edges`, in automaton order.
     std::vector<uint32_t> edges;
-    /// The distinct `guards` among them, in first-appearance order.
+    /// The distinct guards among them, in first-appearance order.
     std::vector<uint32_t> guards;
   };
   /// Per source state.
   std::vector<Outgoing> outgoing;
-  std::vector<std::pair<RelationId, store::FactId>> pool;
+  /// One speculative pool injection: reveal a canonical fact through a
+  /// method on its relation (the binding is read off the fact). In pool
+  /// order, then the relation's method order.
+  struct Injection {
+    RelationId relation = 0;
+    store::FactId fact = store::kNoFactId;
+    AccessMethodId method = 0;
+  };
+  std::vector<Injection> injections;
   /// Factory state after pool freezing: searches must continue the
   /// fresh-value sequence to avoid colliding with pool values.
   logic::FreshValueFactory factory_after_pool;
   /// All the build read of the schema: the position types of every
-  /// relation whose facts it froze.
+  /// relation it froze facts of or realizes accesses to, and every
+  /// method's (relation, input positions).
   std::vector<std::pair<RelationId, std::vector<ValueType>>> read_types;
+  std::vector<std::pair<RelationId, std::vector<schema::Position>>>
+      read_methods;
 
   /// True when `schema` agrees with the build's schema on everything
   /// the build read, so the plan is the one `schema` would give.
@@ -501,19 +201,192 @@ struct SearchPlan {
         return false;
       }
     }
+    if (static_cast<size_t>(schema.num_access_methods()) !=
+        read_methods.size()) {
+      return false;
+    }
+    for (size_t m = 0; m < read_methods.size(); ++m) {
+      const schema::AccessMethod& am =
+          schema.method(static_cast<AccessMethodId>(m));
+      if (am.relation != read_methods[m].first ||
+          am.input_positions != read_methods[m].second) {
+        return false;
+      }
+    }
     return true;
   }
 };
 
 namespace {
 
+/// The slot numbering of one disjunct: variables in first-occurrence
+/// order, then its constants (appended to the plan's pool).
+struct DisjunctSlots {
+  std::map<std::string, uint32_t> vars;
+  std::map<Value, uint32_t> consts;
+  uint32_t constants_begin = 0;
+
+  uint32_t operator()(const logic::Term& t) const {
+    return t.is_var() ? vars.at(t.var_name())
+                      : static_cast<uint32_t>(vars.size()) +
+                            consts.at(t.value());
+  }
+};
+
+/// Compiles one realization program: `m` realizes the disjunct, matching
+/// `pre` and `as_old` against revealed facts and instantiating `as_new`
+/// as the response (see Realizer).
+Realizer CompileRealizer(const DisjunctSlots& slot, AccessMethodId m,
+                         const std::vector<const CqAtom*>& pre,
+                         const std::vector<const CqAtom*>& as_old,
+                         const std::vector<const CqAtom*>& as_new,
+                         const std::vector<const CqAtom*>& bind,
+                         const std::vector<std::pair<logic::Term,
+                                                     logic::Term>>& neqs,
+                         const schema::Schema& schema, SearchPlan* plan) {
+  const schema::AccessMethod& am = schema.method(m);
+  Realizer r;
+  r.method = m;
+  r.num_vars = static_cast<uint32_t>(slot.vars.size());
+  r.constants_begin = slot.constants_begin;
+  r.num_constants = static_cast<uint32_t>(slot.consts.size());
+  // Match phase: pre atoms, then the post atoms mapped to revealed
+  // facts, in written order.
+  std::vector<bool> bound(r.num_vars, false);
+  std::vector<const CqAtom*> to_match = pre;
+  to_match.insert(to_match.end(), as_old.begin(), as_old.end());
+  r.atoms_begin = static_cast<uint32_t>(plan->match_atoms.size());
+  r.num_atoms = static_cast<uint32_t>(to_match.size());
+  for (const CqAtom* a : to_match) {
+    Realizer::Atom atom;
+    atom.relation = a->pred.id;
+    atom.args_begin = static_cast<uint32_t>(plan->match_args.size());
+    atom.arity = static_cast<uint32_t>(a->terms.size());
+    for (size_t i = 0; i < a->terms.size() && atom.index_pos < 0; ++i) {
+      const logic::Term& t = a->terms[i];
+      if (t.is_const() || bound[slot(t)]) atom.index_pos = static_cast<int>(i);
+    }
+    for (const logic::Term& t : a->terms) {
+      uint32_t s = slot(t);
+      bool bind_here = t.is_var() && !bound[s];
+      if (bind_here) bound[s] = true;
+      plan->match_args.push_back(Realizer::Arg{s, bind_here});
+    }
+    plan->match_atoms.push_back(atom);
+  }
+  std::vector<uint32_t>& slots = plan->slots;
+  r.slots_begin = static_cast<uint32_t>(slots.size());
+  for (uint32_t s = 0; s < r.num_vars; ++s) {
+    if (!bound[s]) continue;
+    slots.push_back(s);
+    ++r.num_matched;
+  }
+  // 0-ary IsBind atoms (the Sch0−Acc abstraction) constrain only the
+  // method, not the binding values: only full-arity ones bind.
+  for (const CqAtom* b : bind) {
+    if (static_cast<int>(b->terms.size()) != am.num_inputs() ||
+        b->terms.empty()) {
+      continue;
+    }
+    ++r.num_bind;
+    for (const logic::Term& t : b->terms) slots.push_back(slot(t));
+  }
+  for (const CqAtom* a : as_new) {
+    ++r.num_new;
+    for (const logic::Term& t : a->terms) slots.push_back(slot(t));
+  }
+  for (const auto& [l, rt] : neqs) {
+    ++r.num_neqs;
+    slots.push_back(slot(l));
+    slots.push_back(slot(rt));
+  }
+  return r;
+}
+
+/// Compiles a guard disjunct's realization programs into the plan: one
+/// per access method the disjunct allows and per subset of its post
+/// atoms (all of the method's relation) taken as newly returned facts.
+void CompileRealizers(const Cq& d, const schema::Schema& schema,
+                      SearchPlan* plan) {
+  std::vector<const CqAtom*> pre, post, bind;
+  for (const CqAtom& a : d.atoms) {
+    switch (a.pred.space) {
+      case PredSpace::kPre:
+        pre.push_back(&a);
+        break;
+      case PredSpace::kPost:
+        post.push_back(&a);
+        break;
+      case PredSpace::kBind:
+        bind.push_back(&a);
+        break;
+      case PredSpace::kPlain:
+        return;  // not a transition formula
+    }
+  }
+  // All bind atoms must agree on the method (a transition has one).
+  std::optional<AccessMethodId> method;
+  for (const CqAtom* b : bind) {
+    if (method.has_value() && *method != b->pred.id) return;
+    method = b->pred.id;
+  }
+  DisjunctSlots slot;
+  slot.constants_begin = static_cast<uint32_t>(plan->constants.size());
+  auto note = [&](const logic::Term& t) {
+    if (t.is_var()) {
+      uint32_t next = static_cast<uint32_t>(slot.vars.size());
+      slot.vars.emplace(t.var_name(), next);
+      return;
+    }
+    uint32_t next = static_cast<uint32_t>(slot.consts.size());
+    if (slot.consts.emplace(t.value(), next).second) {
+      plan->constants.push_back(t.value());
+      plan->constant_ids.push_back(
+          store::Store::Get().TryFindValue(t.value()));
+    }
+  };
+  for (const CqAtom& a : d.atoms) {
+    for (const logic::Term& t : a.terms) note(t);
+  }
+  for (const auto& [l, rt] : d.neqs) {
+    note(l);
+    note(rt);
+  }
+  AccessMethodId first = method.value_or(0);
+  AccessMethodId last =
+      method.has_value() ? *method + 1 : schema.num_access_methods();
+  for (AccessMethodId m = first; m < last; ++m) {
+    // Post atoms can also map to already-revealed facts; mapping to
+    // *other* new facts is covered by putting both atoms in the new
+    // set.
+    RelationId target = schema.method(m).relation;
+    for (size_t mask = 0; mask < (size_t{1} << post.size()); ++mask) {
+      std::vector<const CqAtom*> as_new, as_old;
+      bool ok = true;
+      for (size_t i = 0; i < post.size() && ok; ++i) {
+        if ((mask >> i & 1) == 0) {
+          as_old.push_back(post[i]);
+        } else if (post[i]->pred.id == target) {
+          as_new.push_back(post[i]);
+        } else {
+          ok = false;
+        }
+      }
+      if (!ok) continue;
+      plan->realizers.push_back(CompileRealizer(
+          slot, m, pre, as_old, as_new, bind, d.neqs, schema, plan));
+    }
+  }
+}
+
 std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
                                             const schema::Schema& schema) {
   obs::Span span("prepare-plan");
   WitnessMetrics::Get().plan_builds->Inc();
   auto plan = std::make_shared<SearchPlan>();
-  // Compile each distinct sentence once, and pre-normalize guards to
-  // UCQs once per distinct ψ+ (by its sentence ids).
+  // Compile each distinct sentence once, and each distinct ψ+ (by its
+  // sentence ids) into its UCQ's realization programs once.
+  std::vector<logic::Ucq> guards;
   std::map<std::vector<uint32_t>, uint32_t> distinct;
   std::map<const logic::PosFormula*, uint32_t> sentence_ids;
   auto sentence = [&](const logic::PosFormulaPtr& f) {
@@ -522,6 +395,8 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
     if (fresh) plan->sentences.emplace_back(f);
     return it->second;
   };
+  plan->guard_disjuncts.push_back(0);
+  plan->disjunct_realizers.push_back(0);
   for (const ATransition& t : automaton.transitions()) {
     logic::PosFormulaPtr pos =
         t.guard.positive ? t.guard.positive : logic::PosFormula::True();
@@ -534,7 +409,7 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
       edge.negative.push_back(sentence(gamma));
     }
     auto [it, fresh] = distinct.emplace(
-        edge.positive, static_cast<uint32_t>(plan->guards.size()));
+        edge.positive, static_cast<uint32_t>(guards.size()));
     edge.guard = it->second;
     if (t.from >= 0) {
       if (static_cast<size_t>(t.from) >= plan->outgoing.size()) {
@@ -550,23 +425,24 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
     plan->edges.push_back(std::move(edge));
     if (!fresh) continue;
     Result<logic::Ucq> ucq = logic::NormalizeToUcq(pos, {}, schema);
-    plan->guards.push_back(ucq.ok() ? ucq.value() : logic::Ucq{});
+    guards.push_back(ucq.ok() ? ucq.value() : logic::Ucq{});
     // Degenerate case: TRUE normalizes to one empty disjunct.
     if (pos->kind() == logic::NodeKind::kTrue) {
       logic::Ucq truth;
       truth.disjuncts.push_back(logic::Cq{});
-      plan->guards.back() = truth;
+      guards.back() = truth;
     }
     bool trivial = false;
-    for (const logic::Cq& d : plan->guards.back().disjuncts) {
-      if (d.atoms.empty() && d.neqs.empty()) {
-        trivial = true;
-        break;
-      }
+    for (const logic::Cq& d : guards.back().disjuncts) {
+      if (d.atoms.empty() && d.neqs.empty()) trivial = true;
+      CompileRealizers(d, schema, plan.get());
+      plan->disjunct_realizers.push_back(
+          static_cast<uint32_t>(plan->realizers.size()));
     }
     plan->trivially_positive.push_back(trivial);
+    plan->guard_disjuncts.push_back(
+        static_cast<uint32_t>(plan->disjunct_realizers.size() - 1));
   }
-  plan->guards.shrink_to_fit();
   // Speculative fact pool: canonical (frozen) facts of every guard
   // disjunct. Guards often require facts in their *pre* structure
   // that only an earlier, unconstrained access can reveal; injecting
@@ -575,8 +451,9 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
   // transition's guard contributes its own fresh facts.
   logic::FreshValueFactory factory;
   std::set<RelationId> read;
+  std::vector<std::pair<RelationId, store::FactId>> pool;
   for (const SearchPlan::Edge& edge : plan->edges) {
-    for (const logic::Cq& d : plan->guards[edge.guard].disjuncts) {
+    for (const logic::Cq& d : guards[edge.guard].disjuncts) {
       logic::Cq data_only;
       for (const logic::CqAtom& a : d.atoms) {
         if (a.pred.space == PredSpace::kPre ||
@@ -591,19 +468,37 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
       if (!frozen.ok()) continue;
       for (const auto& [pred, tuples] : frozen.value().db.relations()) {
         for (const Tuple& t : tuples) {
-          if (plan->pool.size() >= 64) break;
+          if (pool.size() >= 64) break;
           // Interned once here; every Contains check during the
           // search is then a binary search over fact ids.
-          plan->pool.emplace_back(pred.id,
-                                  store::Store::Get().InternTuple(t));
+          pool.emplace_back(pred.id, store::Store::Get().InternTuple(t));
         }
       }
     }
   }
   plan->factory_after_pool = factory;
+  // Each pool fact through each method on its relation.
+  for (const auto& [rel, fact] : pool) {
+    for (AccessMethodId m : schema.methods_on(rel)) {
+      plan->injections.push_back(SearchPlan::Injection{rel, fact, m});
+    }
+  }
+  for (AccessMethodId m = 0; m < schema.num_access_methods(); ++m) {
+    const schema::AccessMethod& am = schema.method(m);
+    plan->read_methods.emplace_back(am.relation, am.input_positions);
+    read.insert(am.relation);
+  }
   for (RelationId rel : read) {
     plan->read_types.emplace_back(rel, schema.relation(rel).position_types);
   }
+  // A prepared automaton keeps its plan for life: drop the growth slack.
+  plan->realizers.shrink_to_fit();
+  plan->match_atoms.shrink_to_fit();
+  plan->match_args.shrink_to_fit();
+  plan->slots.shrink_to_fit();
+  plan->constants.shrink_to_fit();
+  plan->constant_ids.shrink_to_fit();
+  plan->injections.shrink_to_fit();
   return plan;
 }
 
@@ -622,6 +517,283 @@ std::shared_ptr<const SearchPlan> PlanFor(const AAutomaton& automaton,
 }
 
 namespace {
+
+/// Runs a plan's realization programs on one node: joins each
+/// program's match atoms against the node's configuration, instantiates
+/// every complete match (binding, new facts, fresh values from the
+/// node's base) and emits the accesses that pass the binding agreement,
+/// grounding and inequality checks. Works on the caller's scratch, so
+/// rejected matches allocate nothing; only an emitted realization
+/// interns its new facts.
+class RealizationMatcher {
+ public:
+  /// Buffers reused across every program run of an expansion.
+  struct Scratch {
+    /// Match phase: slot values as store ids.
+    std::vector<store::ValueId> slots;
+    /// Finish phase: slot values (null: unbound), the fresh values
+    /// drawn, the binding and the new facts' values.
+    std::vector<const Value*> values;
+    std::vector<Value> fresh;
+    std::vector<const Value*> binding;
+    std::vector<const Value*> new_values;
+    /// The emitted access and its interned response.
+    Tuple tuple;
+    schema::Access access;
+    std::vector<store::FactId> response_ids;
+  };
+
+  RealizationMatcher(const SearchPlan& plan, const schema::Schema& schema,
+                     const Instance& config, int64_t fresh_base,
+                     const WitnessSearchOptions& options,
+                     store::MatchIndexCache::LocalView* index,
+                     schema::LazyActiveDomain* domain, Scratch* scratch)
+      : plan_(plan),
+        schema_(schema),
+        config_(config),
+        fresh_base_(fresh_base),
+        options_(options),
+        index_(index),
+        domain_(domain),
+        sc_(*scratch),
+        store_(store::Store::Get()) {}
+
+  /// Starts a guard: max_realizations_per_step counts per disjunct, and
+  /// once it cuts a disjunct the guard's remaining ones emit nothing.
+  void StartGuard() { truncated_ = false; }
+  /// True when max_realizations_per_step suppressed a complete match of
+  /// the current guard: the step is not exhaustive.
+  bool truncated() const { return truncated_; }
+
+  /// Runs disjunct `d`'s programs in order, calling
+  /// `emit(access, response_ids)` per realization; true when `emit`
+  /// asked to stop.
+  template <typename Emit>
+  bool RunDisjunct(uint32_t d, const Emit& emit) {
+    emitted_ = 0;
+    for (uint32_t i = plan_.disjunct_realizers[d];
+         i < plan_.disjunct_realizers[d + 1] && !truncated_; ++i) {
+      r_ = &plan_.realizers[i];
+      sc_.slots.resize(r_->num_slots());
+      for (uint32_t k = 0; k < r_->num_constants; ++k) {
+        uint32_t c = r_->constants_begin + k;
+        store::ValueId id = plan_.constant_ids[c];
+        if (id == store::kNoValueId) {
+          id = store_.TryFindValue(plan_.constants[c]);
+        }
+        sc_.slots[r_->num_vars + k] = id;
+      }
+      if (Match(0, emit)) return true;
+    }
+    return false;
+  }
+
+ private:
+  template <typename Emit>
+  bool Match(uint32_t i, const Emit& emit) {
+    const Realizer& r = *r_;
+    if (i == r.num_atoms) {
+      if (emitted_ >= options_.max_realizations_per_step) {
+        // The cap is suppressing a complete match: the step is
+        // non-exhaustive from here on.
+        truncated_ = true;
+        return false;
+      }
+      return Finish(emit);
+    }
+    const Realizer::Atom& atom = plan_.match_atoms[r.atoms_begin + i];
+    const Realizer::Arg* args = plan_.match_args.data() + atom.args_begin;
+    const store::FactSet::Ptr& facts = config_.facts(atom.relation);
+    // A bound position selects the candidates through the memoized
+    // per-relation index (COW sharing keeps it valid across every node
+    // sharing the relation); a never-interned value is in no fact.
+    const std::vector<store::FactId>* candidates = &facts->ids();
+    if (atom.index_pos >= 0) {
+      store::ValueId v = sc_.slots[args[atom.index_pos].slot];
+      if (v == store::kNoValueId) return false;
+      candidates = &index_->Lookup(facts, atom.index_pos, v);
+    }
+    for (store::FactId fact : *candidates) {
+      const std::vector<store::ValueId>& row = store_.fact_values(fact);
+      if (row.size() != atom.arity) continue;
+      bool ok = true;
+      for (uint32_t p = 0; p < atom.arity && ok; ++p) {
+        store::ValueId& slot = sc_.slots[args[p].slot];
+        if (args[p].bind) {
+          slot = row[p];
+        } else {
+          ok = slot == row[p];
+        }
+      }
+      if (ok && Match(i + 1, emit)) return true;
+      if (truncated_) return false;
+    }
+    return false;
+  }
+
+  /// Instantiates the current complete match; emits it when every
+  /// check passes.
+  template <typename Emit>
+  bool Finish(const Emit& emit) {
+    const Realizer& r = *r_;
+    const schema::AccessMethod& am = schema_.method(r.method);
+    const std::vector<schema::Position>& inputs = am.input_positions;
+    const std::vector<ValueType>& types =
+        schema_.relation(am.relation).position_types;
+    const size_t num_inputs = inputs.size();
+    const size_t arity = types.size();
+    auto input_type = [&](size_t i) {
+      return types[static_cast<size_t>(inputs[i])];
+    };
+    const uint32_t* slots = plan_.slots.data() + r.slots_begin;
+    std::vector<const Value*>& values = sc_.values;
+    values.assign(r.num_slots(), nullptr);
+    for (uint32_t k = 0; k < r.num_matched; ++k) {
+      values[*slots] = &store_.value(sc_.slots[*slots]);
+      ++slots;
+    }
+    for (uint32_t k = 0; k < r.num_constants; ++k) {
+      values[r.num_vars + k] = &plan_.constants[r.constants_begin + k];
+    }
+    // Every candidate draws fresh values from the node's base (a
+    // function of the node's configuration), so a realization's fresh
+    // values depend only on the node and the candidate itself — never
+    // on how many sibling candidates were enumerated before it. That
+    // makes the child *set* independent of enumeration order, hence of
+    // the global fact-interning order and the worker schedule; and it
+    // makes equal configurations expand to content-identical subtrees,
+    // which is what lets the visited table transfer subtrees between
+    // path-equivalent nodes.
+    logic::FreshValueFactory factory =
+        logic::FreshValueFactory::StartingAt(fresh_base_);
+    std::vector<Value>& fresh = sc_.fresh;
+    fresh.clear();
+    // At most one fresh value per variable, plus a free access's
+    // binding; the pointers into `fresh` must not move.
+    fresh.reserve(r.num_vars + num_inputs);
+    auto draw = [&](ValueType type) {
+      fresh.push_back(factory.Fresh(type));
+      return &fresh.back();
+    };
+    // Slot value: bound, constant, or (when allowed) fresh.
+    auto resolve = [&](uint32_t s, ValueType type,
+                       bool allow_fresh) -> const Value* {
+      if (values[s] == nullptr && allow_fresh) values[s] = draw(type);
+      return values[s];
+    };
+    std::vector<const Value*>& binding = sc_.binding;
+    binding.clear();
+    // Binding first: bind-atom terms; grounded mode forbids fresh
+    // values in bindings. Further bind atoms (same method) must agree.
+    for (uint32_t b = 0; b < r.num_bind; ++b) {
+      for (size_t i = 0; i < num_inputs; ++i) {
+        const Value* v =
+            resolve(slots[i], input_type(i), !options_.grounded);
+        if (v == nullptr) return false;
+        if (b == 0) {
+          binding.push_back(v);
+        } else if (*v != *binding[i]) {
+          return false;
+        }
+      }
+      slots += num_inputs;
+    }
+    // New facts. When the binding is already fixed (bind atoms), the
+    // response must agree with it on input positions — propagate the
+    // binding into unbound variables there instead of inventing fresh
+    // values that could never agree.
+    std::vector<const Value*>& new_values = sc_.new_values;
+    new_values.clear();
+    for (uint32_t a = 0; a < r.num_new; ++a) {
+      if (!binding.empty()) {
+        for (size_t i = 0; i < num_inputs; ++i) {
+          const Value*& v = values[slots[static_cast<size_t>(inputs[i])]];
+          if (v == nullptr) v = binding[i];
+        }
+      }
+      for (size_t p = 0; p < arity; ++p) {
+        new_values.push_back(resolve(slots[p], types[p], true));
+      }
+      slots += arity;
+    }
+    // Derive or check the binding from the new facts.
+    if (r.num_bind == 0) {
+      if (r.num_new > 0) {
+        for (schema::Position p : inputs) {
+          binding.push_back(new_values[static_cast<size_t>(p)]);
+        }
+      } else {
+        // Free access: pick deterministic binding values.
+        for (size_t i = 0; i < num_inputs; ++i) {
+          const Value* v = nullptr;
+          if (options_.grounded) {
+            for (const Value& cand : domain_->get()) {
+              if (cand.type() == input_type(i)) {
+                v = &cand;
+                break;
+              }
+            }
+            // Grounded and nothing to enter into the form.
+            if (v == nullptr) return false;
+          } else {
+            v = draw(input_type(i));
+          }
+          binding.push_back(v);
+        }
+      }
+      if (options_.grounded) {
+        const std::set<Value>& dom = domain_->get();
+        for (const Value* v : binding) {
+          if (dom.count(*v) == 0) return false;
+        }
+      }
+    }
+    // Responses must agree with the binding on input positions.
+    for (uint32_t a = 0; a < r.num_new; ++a) {
+      const Value* const* fact = new_values.data() + a * arity;
+      for (size_t i = 0; i < num_inputs; ++i) {
+        if (*fact[static_cast<size_t>(inputs[i])] != *binding[i]) {
+          return false;
+        }
+      }
+    }
+    // Inequalities of the disjunct.
+    for (uint32_t k = 0; k < r.num_neqs; ++k, slots += 2) {
+      const Value* l = values[slots[0]];
+      const Value* rt = values[slots[1]];
+      if (l == nullptr || rt == nullptr || *l == *rt) return false;
+    }
+    // Intern only on emit: rejected candidates (binding disagreement,
+    // inequalities) must not grow the append-only global store.
+    sc_.response_ids.clear();
+    for (uint32_t a = 0; a < r.num_new; ++a) {
+      sc_.tuple.clear();
+      for (size_t p = 0; p < arity; ++p) {
+        sc_.tuple.push_back(*new_values[a * arity + p]);
+      }
+      sc_.response_ids.push_back(
+          store::Store::Get().InternTuple(sc_.tuple));
+    }
+    sc_.access.method = r.method;
+    sc_.access.binding.clear();
+    for (const Value* v : binding) sc_.access.binding.push_back(*v);
+    ++emitted_;
+    return emit(sc_.access, sc_.response_ids);
+  }
+
+  const SearchPlan& plan_;
+  const schema::Schema& schema_;
+  const Instance& config_;
+  const int64_t fresh_base_;
+  const WitnessSearchOptions& options_;
+  store::MatchIndexCache::LocalView* index_;
+  schema::LazyActiveDomain* domain_;
+  Scratch& sc_;
+  const store::Store& store_;
+  const Realizer* r_ = nullptr;
+  size_t emitted_ = 0;
+  bool truncated_ = false;
+};
 
 // --- Deterministic reduction order ------------------------------------------
 //
@@ -848,6 +1020,12 @@ class Search {
     /// The current candidate's truth memo, one entry per plan
     /// sentence: 0 not evaluated yet, 1 false, 2 true.
     std::vector<char> memo;
+    /// The candidate view's buffer, the realization programs' buffers,
+    /// and a pool injection's access and one-fact response.
+    std::vector<store::FactId> view_ids;
+    RealizationMatcher::Scratch realize;
+    schema::Access injected_access;
+    std::vector<store::FactId> injected;
   };
 
   static uint64_t NodeHash(int state, const Instance& config) {
@@ -1160,18 +1338,21 @@ class Search {
     const SearchPlan::Outgoing& out =
         plan_->outgoing[static_cast<size_t>(node.state)];
     if (out.edges.empty()) return;
-    store::MatchIndexCache::LocalView& view = local_views_[ctx.worker_id()];
     schema::LazyActiveDomain domain(node.config);
+    RealizationMatcher matcher(*plan_, schema_, node.config, node.fresh_base,
+                               options_, &local_views_[ctx.worker_id()],
+                               &domain, &x->realize);
     for (uint32_t guard : out.guards) {
-      RealizationEnumerator en(schema_, node.config, options_,
-                               node.fresh_base, &view, &domain);
-      for (const logic::Cq& disjunct : plan_->guards[guard].disjuncts) {
-        en.ForEach(disjunct, [&](const Realization& r) -> bool {
-          Decide(node, out, guard, schema::Access{r.method, r.binding},
-                 r.new_fact_ids, x);
-          return ctx.aborted();
-        });
-        if (en.truncated()) {
+      auto emit = [&](const schema::Access& access,
+                      const std::vector<store::FactId>& response_ids) {
+        Decide(node, out, guard, access, response_ids, x);
+        return ctx.aborted();
+      };
+      matcher.StartGuard();
+      for (uint32_t d = plan_->guard_disjuncts[guard];
+           d < plan_->guard_disjuncts[guard + 1]; ++d) {
+        matcher.RunDisjunct(d, emit);
+        if (matcher.truncated()) {
           realization_truncated_.store(true, std::memory_order_relaxed);
         }
         if (ctx.aborted()) return;
@@ -1180,32 +1361,29 @@ class Search {
     // Speculative pool injection: reveal one canonical fact through
     // any transition (useful when the guard is permissive and a later
     // guard needs the fact in its pre-structure).
-    std::vector<store::FactId> response(1);
-    for (const auto& [rel, fact] : plan_->pool) {
-      if (node.config.facts(rel)->Contains(fact)) continue;
-      const Tuple& tuple = store::Store::Get().tuple(fact);
-      response[0] = fact;
-      for (schema::AccessMethodId m : schema_.methods_on(rel)) {
-        const schema::AccessMethod& am = schema_.method(m);
-        Tuple binding;
-        for (schema::Position p : am.input_positions) {
-          binding.push_back(tuple[static_cast<size_t>(p)]);
-        }
-        if (options_.grounded) {
-          const std::set<Value>& dom = domain.get();
-          bool ok = true;
-          for (const Value& v : binding) {
-            if (dom.count(v) == 0) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) continue;
-        }
-        Decide(node, out, kInjected, schema::Access{m, std::move(binding)},
-               response, x);
-        if (ctx.aborted()) return;
+    schema::Access& access = x->injected_access;
+    x->injected.resize(1);
+    for (const SearchPlan::Injection& injection : plan_->injections) {
+      if (node.config.facts(injection.relation)->Contains(injection.fact)) {
+        continue;
       }
+      const Tuple& tuple = store::Store::Get().tuple(injection.fact);
+      access.method = injection.method;
+      access.binding.clear();
+      bool ok = true;
+      const schema::AccessMethod& am = schema_.method(injection.method);
+      for (schema::Position p : am.input_positions) {
+        const Value& v = tuple[static_cast<size_t>(p)];
+        if (options_.grounded && domain.get().count(v) == 0) {
+          ok = false;
+          break;
+        }
+        access.binding.push_back(v);
+      }
+      if (!ok) continue;
+      x->injected[0] = injection.fact;
+      Decide(node, out, kInjected, access, x->injected, x);
+      if (ctx.aborted()) return;
     }
   }
 
@@ -1221,7 +1399,7 @@ class Search {
   /// once. The post-instance, step, order key and fresh base are built
   /// once, if some transition admits the access.
   void Decide(const SearchNode& node, const SearchPlan::Outgoing& out,
-              uint32_t realized, schema::Access access,
+              uint32_t realized, const schema::Access& access,
               const std::vector<store::FactId>& response_ids,
               Expansion* x) {
     // Result-bounded method: a response larger than the bound is not a
@@ -1239,7 +1417,10 @@ class Search {
     auto holds = [&](uint32_t sentence) {
       char& truth = x->memo[sentence];
       if (truth == 0) {
-        if (!view) view.emplace(schema_, node.config, access, response_ids);
+        if (!view) {
+          view.emplace(schema_, node.config, access, response_ids,
+                       &x->view_ids);
+        }
         truth = plan_->sentences[sentence].Eval(*view) ? 2 : 1;
         ++x->sentence_evals;
       }
@@ -1266,9 +1447,8 @@ class Search {
       if (admits) x->children.push_back(Child{edge.to, index});
     }
     if (x->children.size() == first) return;
-    view.reset();  // it reads `access`, which moves below
     schema::Transition t = schema::MakeTransitionFromIds(
-        schema_, node.config, std::move(access), response_ids);
+        schema_, node.config, access, response_ids);
     Admitted admitted;
     admitted.post = std::move(t.post);
     schema::AccessStep step{std::move(t.access), std::move(t.response)};

@@ -535,10 +535,19 @@ class Machine {
       return false;
     }
     if (const Tuple* single = range.single_tuple()) {
-      std::vector<ValueId> row;
-      row.reserve(single->size());
-      for (const Value& v : *single) row.push_back(Resolve(v));
-      return TryRow(op, args, row.data(), row.size(), k);
+      // A binding: resolved into a stack row (a heap one only past
+      // kInline values), so a candidate's IsBind atoms allocate nothing.
+      ValueId inline_row[kInline];
+      std::vector<ValueId> heap_row;
+      ValueId* row = inline_row;
+      if (single->size() > kInline) {
+        heap_row.resize(single->size());
+        row = heap_row.data();
+      }
+      for (size_t i = 0; i < single->size(); ++i) {
+        row[i] = Resolve((*single)[i]);
+      }
+      return TryRow(op, args, row, single->size(), k);
     }
     // std::set mode: resolve every row once per evaluation.
     const std::vector<ValueId>& rows = Rows(*range.tuple_set());

@@ -8,17 +8,20 @@ namespace logic {
 CandidateView::CandidateView(const schema::Schema& schema,
                              const schema::Instance& pre,
                              const schema::Access& access,
-                             const std::vector<store::FactId>& response_ids)
+                             const std::vector<store::FactId>& response_ids,
+                             std::vector<store::FactId>* scratch)
     : pre_(pre),
       access_(access),
-      relation_(schema.method(access.method).relation) {
+      relation_(schema.method(access.method).relation),
+      new_ids_(*scratch) {
   const store::FactSet& base = *pre.facts(relation_);
+  scratch->clear();
   for (store::FactId id : response_ids) {
-    if (!base.Contains(id)) new_ids_.push_back(id);
+    if (!base.Contains(id)) scratch->push_back(id);
   }
-  std::sort(new_ids_.begin(), new_ids_.end());
-  new_ids_.erase(std::unique(new_ids_.begin(), new_ids_.end()),
-                 new_ids_.end());
+  std::sort(scratch->begin(), scratch->end());
+  scratch->erase(std::unique(scratch->begin(), scratch->end()),
+                 scratch->end());
 }
 
 std::string Database::ToString(const schema::Schema& schema) const {

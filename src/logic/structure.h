@@ -103,13 +103,17 @@ class TransitionView : public StructureView {
 /// the response ids pre lacks (a two-span store::TupleRange); every
 /// other Rpost is Rpre. The search engines decide each candidate access
 /// on this view and build the post-instance only for survivors.
-/// Constructing or evaluating on the view interns nothing. The pre
-/// instance, binding and response must outlive the view.
+/// Constructing or evaluating on the view interns nothing. The view
+/// keeps the response ids pre lacks in the caller's `scratch`, so a
+/// candidate loop that reuses one buffer allocates nothing per view.
+/// The pre instance, binding, response and scratch must outlive the
+/// view.
 class CandidateView : public StructureView {
  public:
   CandidateView(const schema::Schema& schema, const schema::Instance& pre,
                 const schema::Access& access,
-                const std::vector<store::FactId>& response_ids);
+                const std::vector<store::FactId>& response_ids,
+                std::vector<store::FactId>* scratch);
 
   store::TupleRange GetTuples(const PredicateRef& pred) const override {
     switch (pred.space) {
@@ -137,8 +141,9 @@ class CandidateView : public StructureView {
   const schema::Instance& pre_;
   const schema::Access& access_;
   schema::RelationId relation_;
-  /// The response ids not already in pre, ascending, duplicate-free.
-  std::vector<store::FactId> new_ids_;
+  /// The response ids not already in pre, ascending, duplicate-free
+  /// (the caller's scratch).
+  const std::vector<store::FactId>& new_ids_;
 };
 
 /// TransitionView with store::MatchIndexCache acceleration: pre/post

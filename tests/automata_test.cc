@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/accltl/fragments.h"
 #include "src/accltl/parser.h"
 #include "src/accltl/semantics.h"
@@ -8,6 +10,7 @@
 #include "src/automata/progressive.h"
 #include "src/logic/parser.h"
 #include "src/obs/metrics.h"
+#include "src/store/fact_store.h"
 #include "src/workload/workload.h"
 
 namespace accltl {
@@ -354,6 +357,204 @@ TEST_P(PipelinePropertyTest, PipelineNeverContradictsWitness) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePropertyTest,
                          ::testing::Range(0, 20));
+
+// --- Realization programs -------------------------------------------------
+//
+// The expectations pin which accesses a guard realizes, in which order
+// and with which fresh values: a capped step keeps its first
+// realizations, so any reordering shows up as another witness.
+
+/// One search's outcome plus its `automata.children` delta.
+struct RealizedRun {
+  bool found = false;
+  bool exhausted = false;
+  std::string witness;
+  size_t nodes = 0;
+  uint64_t children = 0;
+};
+
+RealizedRun RunRealized(const AAutomaton& a, const schema::Schema& schema,
+                        const schema::Instance& initial,
+                        const WitnessSearchOptions& opts, size_t workers) {
+  obs::SetMetricsEnabled(true);
+  obs::Counter* children = obs::Registry::Get().counter("automata.children");
+  engine::ExecOptions exec;
+  exec.num_threads = workers;
+  uint64_t before = children->Value();
+  WitnessSearchResult r = BoundedWitnessSearch(a, schema, initial, opts, exec);
+  RealizedRun out;
+  out.found = r.found;
+  out.exhausted = r.exhausted_budget;
+  out.witness = r.witness.ToString(schema);
+  out.nodes = r.nodes_explored;
+  out.children = children->Value() - before;
+  return out;
+}
+
+/// s0 --g1--> s1 --g2--> s2 (accepting). g1 realizes one AcM2 access per
+/// revealed Mobile fact, each revealing an Address; g2 looks the
+/// revealed name up through AcM1.
+AAutomaton TwoStepLookup(const schema::Schema& schema) {
+  auto parse = [&](const std::string& text) {
+    return logic::ParseFormula(text, schema).value();
+  };
+  AAutomaton a;
+  int s0 = a.AddState();
+  int s1 = a.AddState();
+  int s2 = a.AddState();
+  a.SetInitial(s0);
+  a.AddAccepting(s2);
+  Guard g1;
+  g1.positive = parse(
+      "EXISTS n,p,s,ph,m,h . Mobile_pre(n,p,s,ph) AND IsBind_AcM2(s,p) "
+      "AND Address_post(s,p,m,h)");
+  a.AddTransition(s0, g1, s1);
+  Guard g2;
+  g2.positive = parse(
+      "EXISTS s,p,m,h,q,t,ph . Address_pre(s,p,m,h) AND IsBind_AcM1(m) "
+      "AND Mobile_post(m,q,t,ph)");
+  a.AddTransition(s1, g2, s2);
+  return a;
+}
+
+TEST_F(AutomataTest, RealizationCapIsScheduleIndependent) {
+  AAutomaton a = TwoStepLookup(pd_.schema);
+  schema::Instance initial(pd_.schema);
+  initial.AddFact(pd_.mobile, {S("Smith"), S("OX13QD"), S("Parks Rd"), I(1)});
+  initial.AddFact(pd_.mobile, {S("Jones"), S("W1"), S("Baker St"), I(2)});
+  initial.AddFact(pd_.mobile, {S("Brown"), S("E2"), S("Mare St"), I(3)});
+  initial.AddFact(pd_.mobile, {S("Green"), S("N4"), S("Holly Rd"), I(4)});
+  struct Expected {
+    size_t cap;
+    bool exhausted;
+    const char* witness;
+    uint64_t children;
+  };
+  // Four matches for g1: both caps cut the first step (unknown, not
+  // "no"), and each keeps its first realizations in match order.
+  const Expected cases[] = {
+      {1, true,
+       "0: AcM2:Address(\"Parks Rd\", \"OX13QD\", ?, ?) -> "
+       "{(\"Parks Rd\", \"OX13QD\", \"~n13\", -1000014)}\n"
+       "1: AcM1:Mobile(\"~n13\", ?, ?, ?) -> "
+       "{(\"~n13\", \"~n15\", \"~n16\", -1000017)}\n",
+       2},
+      {3, true,
+       "0: AcM2:Address(\"Baker St\", \"W1\", ?, ?) -> "
+       "{(\"Baker St\", \"W1\", \"~n13\", -1000014)}\n"
+       "1: AcM1:Mobile(\"~n13\", ?, ?, ?) -> "
+       "{(\"~n13\", \"~n15\", \"~n16\", -1000017)}\n",
+       4},
+  };
+  for (const Expected& want : cases) {
+    WitnessSearchOptions opts;
+    opts.max_path_length = 3;
+    opts.max_realizations_per_step = want.cap;
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
+      RealizedRun r = RunRealized(a, pd_.schema, initial, opts, workers);
+      EXPECT_TRUE(r.found) << "cap " << want.cap << ", " << workers;
+      EXPECT_EQ(r.exhausted, want.exhausted)
+          << "cap " << want.cap << ", " << workers;
+      EXPECT_EQ(r.witness, want.witness)
+          << "cap " << want.cap << ", " << workers;
+      EXPECT_EQ(r.children, want.children)
+          << "cap " << want.cap << ", " << workers;
+    }
+  }
+}
+
+TEST_F(AutomataTest, RealizationWithConstantInequalityAndBinding) {
+  // The Address_pre atom matches through its constant (an index
+  // lookup); the inequality rejects Smith; the binding n = Jones
+  // propagates into the response's input position, whose variable m
+  // no other atom binds.
+  AAutomaton a;
+  int s0 = a.AddState();
+  int s1 = a.AddState();
+  a.SetInitial(s0);
+  a.AddAccepting(s1);
+  Guard g;
+  g.positive = ParseL(
+      "EXISTS s,n,h,m,s2,ph . Address_pre(s,\"OX13QD\",n,h) AND "
+      "IsBind_AcM1(n) AND Mobile_post(m,\"OX13QD\",s2,ph) AND "
+      "m != \"Smith\"");
+  a.AddTransition(s0, g, s1);
+  schema::Instance initial(pd_.schema);
+  initial.AddFact(pd_.address,
+                  {S("Parks Rd"), S("OX13QD"), S("Smith"), I(13)});
+  initial.AddFact(pd_.address,
+                  {S("Parks Rd"), S("OX13QD"), S("Jones"), I(16)});
+  initial.AddFact(pd_.address, {S("Baker St"), S("W1"), S("Brown"), I(1)});
+  WitnessSearchOptions opts;
+  opts.max_path_length = 2;
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    RealizedRun r = RunRealized(a, pd_.schema, initial, opts, workers);
+    EXPECT_TRUE(r.found);
+    EXPECT_FALSE(r.exhausted);
+    EXPECT_EQ(r.witness,
+              "0: AcM1:Mobile(\"Jones\", ?, ?, ?) -> "
+              "{(\"Jones\", \"OX13QD\", \"~n6\", -1000007)}\n");
+    EXPECT_EQ(r.children, 1u);
+    EXPECT_EQ(r.nodes, 2u);
+  }
+}
+
+TEST_F(AutomataTest, GroundedRealizationsBindOnlyRevealedValues) {
+  AAutomaton a = TwoStepLookup(pd_.schema);
+  schema::Instance initial(pd_.schema);
+  initial.AddFact(pd_.mobile, {S("Smith"), S("OX13QD"), S("Parks Rd"), I(1)});
+  initial.AddFact(pd_.mobile, {S("Jones"), S("W1"), S("Baker St"), I(2)});
+  WitnessSearchOptions opts;
+  opts.max_path_length = 3;
+  opts.grounded = true;
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    RealizedRun r = RunRealized(a, pd_.schema, initial, opts, workers);
+    EXPECT_TRUE(r.found);
+    EXPECT_FALSE(r.exhausted);
+    EXPECT_EQ(r.witness,
+              "0: AcM2:Address(\"Baker St\", \"W1\", ?, ?) -> "
+              "{(\"Baker St\", \"W1\", \"~n13\", -1000014)}\n"
+              "1: AcM1:Mobile(\"~n13\", ?, ?, ?) -> "
+              "{(\"~n13\", \"~n15\", \"~n16\", -1000017)}\n");
+    EXPECT_EQ(r.children, 3u);
+    EXPECT_EQ(r.nodes, 3u);
+  }
+}
+
+TEST_F(AutomataTest, RejectedRealizationsInternNothing) {
+  // Every realization of the guard fails its inequality after its
+  // response was instantiated with fresh values: none may reach the
+  // append-only store.
+  AAutomaton a;
+  int s0 = a.AddState();
+  int s1 = a.AddState();
+  a.SetInitial(s0);
+  a.AddAccepting(s1);
+  Guard g;
+  g.positive = ParseL(
+      "EXISTS n,p,s,ph . IsBind_AcM1(n) AND Mobile_post(n,p,s,ph) AND "
+      "ph != ph");
+  a.AddTransition(s0, g, s1);
+  WitnessSearchOptions opts;
+  opts.max_path_length = 2;
+  // The first search builds the plan (its pool facts are interned
+  // then). The second starts above fresh index 40, so its fresh values
+  // are ones no earlier search drew.
+  EXPECT_FALSE(BoundedWitnessSearch(a, pd_.schema,
+                                    schema::Instance(pd_.schema), opts)
+                   .found);
+  schema::Instance initial(pd_.schema);
+  initial.AddFact(pd_.mobile, {S("~n40"), S("W1"), S("Baker St"), I(2)});
+  const store::Store& store = store::Store::Get();
+  size_t values = store.num_values();
+  size_t facts = store.num_facts();
+  WitnessSearchResult r =
+      BoundedWitnessSearch(a, pd_.schema, initial, opts);
+  EXPECT_FALSE(r.found);
+  EXPECT_FALSE(r.exhausted_budget);
+  EXPECT_EQ(store.num_values(), values);
+  EXPECT_EQ(store.num_facts(), facts);
+}
 
 }  // namespace
 }  // namespace automata

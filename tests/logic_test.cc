@@ -481,13 +481,15 @@ TEST_P(CandidateViewPropertyTest, AgreesWithTransitionViewAndOracle) {
   std::string prefix = "cv-unseen-" + std::to_string(GetParam());
   Value unseen = Value::Str(prefix + "-const");
   std::vector<PosFormulaPtr> sentences = CandidateSentences(&rng, s, unseen);
+  // One view buffer for every trial, as a search's candidate loop uses.
+  std::vector<store::FactId> scratch;
   for (int trial = 0; trial < 12; ++trial) {
     schema::Instance pre = workload::RandomInstance(&rng, s, 6, 3);
     schema::Instance universe = workload::RandomInstance(&rng, s, 10, 4);
     std::vector<store::FactId> response;
     schema::Access access =
         RandomAccess(&rng, s, pre, universe, prefix, &response);
-    CandidateView candidate(s, pre, access, response);
+    CandidateView candidate(s, pre, access, response, &scratch);
     schema::Transition t =
         schema::MakeTransitionFromIds(s, pre, access, response);
     TransitionView materialized(t);
@@ -541,7 +543,8 @@ TEST_F(LogicTest, CandidateEvaluationNeverInterns) {
 
   size_t values = store.num_values();
   size_t facts = store.num_facts();
-  CandidateView view(pd_.schema, pre, access, response);
+  std::vector<store::FactId> scratch;
+  CandidateView view(pd_.schema, pre, access, response, &scratch);
   EXPECT_TRUE(guard.Eval(view));
   EXPECT_FALSE(atom.Eval(view));
   EXPECT_TRUE(EvalSentence(guard.positive, view));

@@ -15,6 +15,7 @@
 #include "src/analysis/zero_solver.h"
 #include "src/common/rng.h"
 #include "src/engine/cancel.h"
+#include "src/obs/metrics.h"
 #include "src/schema/lts.h"
 #include "src/workload/workload.h"
 
@@ -215,6 +216,111 @@ TEST_F(ZeroParallelTest, SubsetCapTruncationIsFlaggedNotSilent) {
   ASSERT_TRUE(r.ok());
   if (!r.value().satisfiable) {
     EXPECT_TRUE(r.value().exhausted_budget);
+  }
+}
+
+// --- Pinned work counters ---------------------------------------------------
+//
+// analysis.zero.candidates counts the (method, binding group, pool subset)
+// accesses decided and analysis.zero.children the ones kept. Pinning them
+// checks that the candidate loop enumerates the same subsets at every
+// worker count and from one version to the next.
+
+struct ZeroWork {
+  bool satisfiable = false;
+  bool exhausted = false;
+  uint64_t candidates = 0;
+  uint64_t children = 0;
+};
+
+ZeroWork SweepWork(const acc::AccPtr& f, const schema::Schema& schema,
+                   const analysis::ZeroSolverOptions& opts, size_t workers) {
+  obs::SetMetricsEnabled(true);
+  obs::Counter* candidates =
+      obs::Registry::Get().counter("analysis.zero.candidates");
+  obs::Counter* children =
+      obs::Registry::Get().counter("analysis.zero.children");
+  engine::ExecOptions exec;
+  exec.num_threads = workers;
+  uint64_t c0 = candidates->Value();
+  uint64_t k0 = children->Value();
+  Result<analysis::ZeroSolverResult> r =
+      analysis::CheckZeroArySatisfiable(f, schema, opts, exec);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  ZeroWork out;
+  if (!r.ok()) return out;
+  out.satisfiable = r.value().satisfiable;
+  out.exhausted = r.value().exhausted_budget;
+  out.candidates = candidates->Value() - c0;
+  out.children = children->Value() - k0;
+  return out;
+}
+
+/// One relation R(a, b) behind a method on `a` that returns at most two
+/// tuples per access.
+schema::Schema ResultBoundedSchema() {
+  schema::Schema s;
+  schema::RelationId r =
+      s.AddRelation("R", {ValueType::kString, ValueType::kString});
+  s.AddAccessMethod("MR", r, {0}, /*exact=*/false, /*idempotent=*/false,
+                    /*result_bound=*/2);
+  return s;
+}
+
+TEST_F(ZeroParallelTest, SweepWorkCountersArePinned) {
+  struct Case {
+    const char* name;
+    schema::Schema schema;
+    std::string formula;
+    analysis::ZeroSolverOptions opts;
+    ZeroWork want;  // at 1, 2 and 8 workers alike
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"subset-cap", pd_.schema, TwentyFactFormula(), {}, {}};
+    c.opts.max_path_length = 2;
+    c.opts.max_subsets_per_access = 4;
+    c.want = {false, true, 25, 25};
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"result-bounded", ResultBoundedSchema(),
+           "F [R_post(\"a\",\"b0\") AND R_post(\"a\",\"b1\") AND "
+           "R_post(\"a\",\"b2\")] AND G NOT [R_post(\"a\",\"b3\")]",
+           {}, {}};
+    c.opts.max_path_length = 4;
+    c.want = {true, false, 22, 13};
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"grounded", FreeAccessSchema(),
+           "F [R_post(\"a\")] AND F [T_post(\"a\",\"b\")]", {}, {}};
+    c.opts.grounded = true;
+    c.opts.max_path_length = 6;
+    c.want = {true, false, 7, 7};
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"idempotent", pd_.schema,
+           "F [EXISTS n,p,s,ph . Mobile_post(n,p,s,ph)] AND "
+           "F [IsBind_AcM2()]",
+           {}, {}};
+    c.opts.require_idempotent = true;
+    c.opts.max_path_length = 4;
+    c.want = {true, false, 33, 33};
+    cases.push_back(std::move(c));
+  }
+  for (const Case& c : cases) {
+    Result<acc::AccPtr> f = acc::ParseAccFormula(c.formula, c.schema);
+    ASSERT_TRUE(f.ok()) << c.name << ": " << f.status().ToString();
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
+      ZeroWork got = SweepWork(f.value(), c.schema, c.opts, workers);
+      const ZeroWork& want = c.want;
+      EXPECT_EQ(got.satisfiable, want.satisfiable) << c.name << " @" << workers;
+      EXPECT_EQ(got.exhausted, want.exhausted) << c.name << " @" << workers;
+      EXPECT_EQ(got.candidates, want.candidates) << c.name << " @" << workers;
+      EXPECT_EQ(got.children, want.children) << c.name << " @" << workers;
+    }
   }
 }
 

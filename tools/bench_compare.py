@@ -40,6 +40,12 @@ DEFAULT_COUNTERS = [
     "configs",
     "found",
     "truncated",
+    # Per-search engine work (deltas of the automata.* and
+    # analysis.zero.* counters) on the schedule-independent sweeps of
+    # bench_parallel: candidate accesses decided, and children kept.
+    "candidates",
+    "accesses",
+    "children",
 ]
 
 
