@@ -65,12 +65,13 @@ BENCHMARK(BM_RawThreadScalingControl)
 /// engine counters (`automata.*` or `analysis.zero.*`) over one search,
 /// recorded as benchmark counters under their last name component.
 /// They repeat exactly across runs and worker counts, so
-/// tools/bench_compare.py gates them.
+/// tools/bench_compare.py gates them. Recorded only while metrics are
+/// on (the default): the benchmark leaves ACCLTL_METRICS in charge, so
+/// a metrics-off run measures the engine without its counters.
 class WorkCounters {
  public:
   WorkCounters(const char* prefix, std::vector<const char*> names)
       : names_(std::move(names)) {
-    obs::SetMetricsEnabled(true);
     for (const char* name : names_) {
       counters_.push_back(
           obs::Registry::Get().counter(std::string(prefix) + name));
@@ -83,6 +84,7 @@ class WorkCounters {
     }
   }
   void Record(benchmark::State& state) const {
+    if (!obs::MetricsEnabled()) return;
     for (size_t i = 0; i < counters_.size(); ++i) {
       state.counters[names_[i]] =
           static_cast<double>(counters_[i]->Value() - before_[i]);
