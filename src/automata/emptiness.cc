@@ -68,48 +68,32 @@ using schema::RelationId;
 /// BuildPlan compiles one per (disjunct, method, post-subset mask) that
 /// can hold; a search runs it on a node (RealizationMatcher).
 ///
-/// Variables and constants are slots, numbered once per disjunct:
-/// variables [0, num_vars), then constant k at num_vars + k. The match
-/// phase joins the match atoms against the configuration over
-/// store::ValueIds; whether each operand binds or checks, and which
-/// bound position probes the match index, is fixed here. The finish
-/// phase instantiates the binding and the new facts (drawing fresh
-/// values in the order the atoms list them), then checks agreement and
-/// the inequalities. The operands live in the plan's shared pools; a
-/// realizer holds ranges into them. The method's input positions and
-/// the relation's position types are read from the schema, which
-/// SearchPlan::BuiltFor ties to the one the plan was compiled for.
+/// The match phase is an entry of SearchPlan::match, shared by the
+/// realizers of one (disjunct, post-subset mask): the conjunction of
+/// the pre atoms and the post atoms matched against revealed facts, in
+/// written order, joined over the configuration by
+/// logic::CompiledFormula. The finish phase instantiates the binding and
+/// the new facts (drawing fresh values in the order the atoms list
+/// them), then checks agreement and the inequalities. Its variables and
+/// constants are slots, numbered once per disjunct: variables
+/// [0, num_vars), then constant k at num_vars + k. The operands live in
+/// the plan's shared pools; a realizer holds ranges into them. The
+/// method's input positions and the relation's position types are read
+/// from the schema, which SearchPlan::BuiltFor ties to the one the plan
+/// was compiled for.
 struct Realizer {
-  /// One operand of a match atom.
-  struct Arg {
-    uint32_t slot = 0;
-    /// First occurrence of an unbound variable: bind; else compare.
-    bool bind = false;
-  };
-  /// A pre atom, or a post atom matched against revealed facts.
-  struct Atom {
-    RelationId relation = 0;
-    /// Its operands: SearchPlan::match_args[args_begin, +arity).
-    uint32_t args_begin = 0;
-    uint32_t arity = 0;
-    /// The first position bound before the atom (a constant or a
-    /// variable an earlier atom bound) — its value selects candidate
-    /// facts through the match index — or -1: scan the relation.
-    int index_pos = -1;
-  };
-
   AccessMethodId method = 0;
+  /// Its match phase: SearchPlan::match's entry.
+  uint32_t entry = 0;
   uint32_t num_vars = 0;
   /// SearchPlan::constants[constants_begin, +num_constants).
   uint32_t constants_begin = 0;
   uint32_t num_constants = 0;
-  /// SearchPlan::match_atoms[atoms_begin, +num_atoms).
-  uint32_t atoms_begin = 0;
-  uint32_t num_atoms = 0;
   /// From SearchPlan::slots[slots_begin]: the variables a complete
-  /// match binds; then the full-arity IsBind atoms, one row of
-  /// num_inputs slots each; then the post atoms denoting new facts, one
-  /// row of arity slots each; then the inequalities, as slot pairs.
+  /// match binds, as (slot, SearchPlan::match slot) pairs; then the
+  /// full-arity IsBind atoms, one row of num_inputs slots each; then
+  /// the post atoms denoting new facts, one row of arity slots each;
+  /// then the inequalities, as slot pairs.
   uint32_t slots_begin = 0;
   uint16_t num_matched = 0;
   uint16_t num_bind = 0;
@@ -138,15 +122,12 @@ struct SearchPlan {
   std::vector<uint32_t> guard_disjuncts;
   std::vector<uint32_t> disjunct_realizers;
   std::vector<Realizer> realizers;
-  /// The realizers' operand pools. A plan holds many small programs;
-  /// shared pools keep a prepared automaton small.
-  std::vector<Realizer::Atom> match_atoms;
-  std::vector<Realizer::Arg> match_args;
+  /// The realizers' match phases, one entry per (disjunct, post-subset
+  /// mask). One program for the plan keeps a prepared automaton small.
+  logic::CompiledFormula match;
+  /// The finish phases' operand pool, and the disjuncts' constants.
   std::vector<uint32_t> slots;
-  /// The disjuncts' constants, and their store ids at compile time
-  /// (kNoValueId: not interned then; looked up again per run).
   std::vector<Value> constants;
-  std::vector<store::ValueId> constant_ids;
   /// The distinct guard sentences, each compiled once and keyed by
   /// formula identity: every Guard::PositiveSentences() part and every
   /// γ of every ψ−. A compiled tableau reuses a few atoms on many
@@ -233,52 +214,48 @@ struct DisjunctSlots {
   }
 };
 
+/// What compiling the realizers leaves for BuildPlan: their match
+/// conjunctions, compiled into SearchPlan::match once the pool is
+/// interned (so the pool's constants get store ids at compile time),
+/// and the SearchPlan::slots entries that await a matched variable's
+/// slot in that program.
+struct MatchBuild {
+  std::vector<logic::PosFormulaPtr> entries;
+  std::vector<std::pair<uint32_t, std::string>> var_slots;
+};
+
 /// Compiles one realization program: `m` realizes the disjunct, matching
-/// `pre` and `as_old` against revealed facts and instantiating `as_new`
-/// as the response (see Realizer).
+/// `to_match` against revealed facts (match entry `entry`) and
+/// instantiating `as_new` as the response (see Realizer).
 Realizer CompileRealizer(const DisjunctSlots& slot, AccessMethodId m,
-                         const std::vector<const CqAtom*>& pre,
-                         const std::vector<const CqAtom*>& as_old,
+                         const std::vector<const CqAtom*>& to_match,
+                         uint32_t entry,
                          const std::vector<const CqAtom*>& as_new,
                          const std::vector<const CqAtom*>& bind,
                          const std::vector<std::pair<logic::Term,
                                                      logic::Term>>& neqs,
-                         const schema::Schema& schema, SearchPlan* plan) {
+                         const schema::Schema& schema, SearchPlan* plan,
+                         MatchBuild* build) {
   const schema::AccessMethod& am = schema.method(m);
   Realizer r;
   r.method = m;
+  r.entry = entry;
   r.num_vars = static_cast<uint32_t>(slot.vars.size());
   r.constants_begin = slot.constants_begin;
   r.num_constants = static_cast<uint32_t>(slot.consts.size());
-  // Match phase: pre atoms, then the post atoms mapped to revealed
-  // facts, in written order.
   std::vector<bool> bound(r.num_vars, false);
-  std::vector<const CqAtom*> to_match = pre;
-  to_match.insert(to_match.end(), as_old.begin(), as_old.end());
-  r.atoms_begin = static_cast<uint32_t>(plan->match_atoms.size());
-  r.num_atoms = static_cast<uint32_t>(to_match.size());
   for (const CqAtom* a : to_match) {
-    Realizer::Atom atom;
-    atom.relation = a->pred.id;
-    atom.args_begin = static_cast<uint32_t>(plan->match_args.size());
-    atom.arity = static_cast<uint32_t>(a->terms.size());
-    for (size_t i = 0; i < a->terms.size() && atom.index_pos < 0; ++i) {
-      const logic::Term& t = a->terms[i];
-      if (t.is_const() || bound[slot(t)]) atom.index_pos = static_cast<int>(i);
-    }
     for (const logic::Term& t : a->terms) {
-      uint32_t s = slot(t);
-      bool bind_here = t.is_var() && !bound[s];
-      if (bind_here) bound[s] = true;
-      plan->match_args.push_back(Realizer::Arg{s, bind_here});
+      if (t.is_var()) bound[slot(t)] = true;
     }
-    plan->match_atoms.push_back(atom);
   }
   std::vector<uint32_t>& slots = plan->slots;
   r.slots_begin = static_cast<uint32_t>(slots.size());
-  for (uint32_t s = 0; s < r.num_vars; ++s) {
+  for (const auto& [name, s] : slot.vars) {
     if (!bound[s]) continue;
     slots.push_back(s);
+    build->var_slots.emplace_back(static_cast<uint32_t>(slots.size()), name);
+    slots.push_back(0);
     ++r.num_matched;
   }
   // 0-ary IsBind atoms (the Sch0−Acc abstraction) constrain only the
@@ -307,7 +284,7 @@ Realizer CompileRealizer(const DisjunctSlots& slot, AccessMethodId m,
 /// per access method the disjunct allows and per subset of its post
 /// atoms (all of the method's relation) taken as newly returned facts.
 void CompileRealizers(const Cq& d, const schema::Schema& schema,
-                      SearchPlan* plan) {
+                      SearchPlan* plan, MatchBuild* build) {
   std::vector<const CqAtom*> pre, post, bind;
   for (const CqAtom& a : d.atoms) {
     switch (a.pred.space) {
@@ -341,8 +318,6 @@ void CompileRealizers(const Cq& d, const schema::Schema& schema,
     uint32_t next = static_cast<uint32_t>(slot.consts.size());
     if (slot.consts.emplace(t.value(), next).second) {
       plan->constants.push_back(t.value());
-      plan->constant_ids.push_back(
-          store::Store::Get().TryFindValue(t.value()));
     }
   };
   for (const CqAtom& a : d.atoms) {
@@ -352,6 +327,20 @@ void CompileRealizers(const Cq& d, const schema::Schema& schema,
     note(l);
     note(rt);
   }
+  // The atoms as formulas, built once for all of the disjunct's
+  // realizers. Pre atoms and post atoms mapped to revealed facts both
+  // match the configuration (RealizationMatcher's view).
+  auto formulas = [](const std::vector<const CqAtom*>& atoms) {
+    std::vector<logic::PosFormulaPtr> out;
+    for (const CqAtom* a : atoms) {
+      out.push_back(logic::PosFormula::MakeAtom(a->pred, a->terms));
+    }
+    return out;
+  };
+  const std::vector<logic::PosFormulaPtr> pre_formulas = formulas(pre);
+  const std::vector<logic::PosFormulaPtr> post_formulas = formulas(post);
+  // Per mask, its match entry once some method realizes it.
+  std::vector<int64_t> entries(size_t{1} << post.size(), -1);
   AccessMethodId first = method.value_or(0);
   AccessMethodId last =
       method.has_value() ? *method + 1 : schema.num_access_methods();
@@ -361,11 +350,15 @@ void CompileRealizers(const Cq& d, const schema::Schema& schema,
     // set.
     RelationId target = schema.method(m).relation;
     for (size_t mask = 0; mask < (size_t{1} << post.size()); ++mask) {
-      std::vector<const CqAtom*> as_new, as_old;
+      // Matched in written order: the pre atoms, then the post atoms
+      // mapped to revealed facts.
+      std::vector<const CqAtom*> to_match = pre, as_new;
+      std::vector<logic::PosFormulaPtr> conjuncts = pre_formulas;
       bool ok = true;
       for (size_t i = 0; i < post.size() && ok; ++i) {
         if ((mask >> i & 1) == 0) {
-          as_old.push_back(post[i]);
+          to_match.push_back(post[i]);
+          conjuncts.push_back(post_formulas[i]);
         } else if (post[i]->pred.id == target) {
           as_new.push_back(post[i]);
         } else {
@@ -373,8 +366,13 @@ void CompileRealizers(const Cq& d, const schema::Schema& schema,
         }
       }
       if (!ok) continue;
+      if (entries[mask] < 0) {
+        entries[mask] = static_cast<int64_t>(build->entries.size());
+        build->entries.push_back(logic::PosFormula::And(std::move(conjuncts)));
+      }
       plan->realizers.push_back(CompileRealizer(
-          slot, m, pre, as_old, as_new, bind, d.neqs, schema, plan));
+          slot, m, to_match, static_cast<uint32_t>(entries[mask]), as_new,
+          bind, d.neqs, schema, plan, build));
     }
   }
 }
@@ -387,6 +385,7 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
   // Compile each distinct sentence once, and each distinct ψ+ (by its
   // sentence ids) into its UCQ's realization programs once.
   std::vector<logic::Ucq> guards;
+  MatchBuild match;
   std::map<std::vector<uint32_t>, uint32_t> distinct;
   std::map<const logic::PosFormula*, uint32_t> sentence_ids;
   auto sentence = [&](const logic::PosFormulaPtr& f) {
@@ -435,7 +434,7 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
     bool trivial = false;
     for (const logic::Cq& d : guards.back().disjuncts) {
       if (d.atoms.empty() && d.neqs.empty()) trivial = true;
-      CompileRealizers(d, schema, plan.get());
+      CompileRealizers(d, schema, plan.get(), &match);
       plan->disjunct_realizers.push_back(
           static_cast<uint32_t>(plan->realizers.size()));
     }
@@ -477,6 +476,10 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
     }
   }
   plan->factory_after_pool = factory;
+  plan->match = logic::CompiledFormula::Entries(match.entries);
+  for (const auto& [at, name] : match.var_slots) {
+    plan->slots[at] = static_cast<uint32_t>(plan->match.FreeSlot(name));
+  }
   // Each pool fact through each method on its relation.
   for (const auto& [rel, fact] : pool) {
     for (AccessMethodId m : schema.methods_on(rel)) {
@@ -493,11 +496,8 @@ std::shared_ptr<const SearchPlan> BuildPlan(const AAutomaton& automaton,
   }
   // A prepared automaton keeps its plan for life: drop the growth slack.
   plan->realizers.shrink_to_fit();
-  plan->match_atoms.shrink_to_fit();
-  plan->match_args.shrink_to_fit();
   plan->slots.shrink_to_fit();
   plan->constants.shrink_to_fit();
-  plan->constant_ids.shrink_to_fit();
   plan->injections.shrink_to_fit();
   return plan;
 }
@@ -518,10 +518,41 @@ std::shared_ptr<const SearchPlan> PlanFor(const AAutomaton& automaton,
 
 namespace {
 
-/// Runs a plan's realization programs on one node: joins each
-/// program's match atoms against the node's configuration, instantiates
-/// every complete match (binding, new facts, fresh values from the
-/// node's base) and emits the accesses that pass the binding agreement,
+/// The node's configuration as the realizers' match phases read it:
+/// pre atoms, and post atoms mapped to revealed facts, both range over
+/// the configuration; a bound position selects facts through the
+/// worker's memoized match index (COW sharing keeps it valid across
+/// every node sharing the relation).
+class ConfigView : public logic::StructureView {
+ public:
+  ConfigView(const Instance& config, store::MatchIndexCache::LocalView* index)
+      : config_(config), index_(index) {}
+
+  store::TupleRange GetTuples(const logic::PredicateRef& pred) const override {
+    if (pred.space != PredSpace::kPre && pred.space != PredSpace::kPost) {
+      return store::TupleRange();
+    }
+    return config_.tuples(pred.id);
+  }
+
+  const std::vector<store::FactId>* FactIdIndex(
+      const logic::PredicateRef& pred, int position,
+      store::ValueId v) const override {
+    static const std::vector<store::FactId> kNone;
+    // A never-interned value is in no fact.
+    if (v == store::kNoValueId) return &kNone;
+    return &index_->Lookup(config_.facts(pred.id), position, v);
+  }
+
+ private:
+  const Instance& config_;
+  store::MatchIndexCache::LocalView* index_;
+};
+
+/// Runs a plan's realization programs on one node: streams each
+/// program's matches over the node's configuration, instantiates every
+/// complete match (binding, new facts, fresh values from the node's
+/// base) and emits the accesses that pass the binding agreement,
 /// grounding and inequality checks. Works on the caller's scratch, so
 /// rejected matches allocate nothing; only an emitted realization
 /// interns its new facts.
@@ -529,10 +560,8 @@ class RealizationMatcher {
  public:
   /// Buffers reused across every program run of an expansion.
   struct Scratch {
-    /// Match phase: slot values as store ids.
-    std::vector<store::ValueId> slots;
-    /// Finish phase: slot values (null: unbound), the fresh values
-    /// drawn, the binding and the new facts' values.
+    /// Slot values (null: unbound), the fresh values drawn, the binding
+    /// and the new facts' values.
     std::vector<const Value*> values;
     std::vector<Value> fresh;
     std::vector<const Value*> binding;
@@ -550,10 +579,9 @@ class RealizationMatcher {
                      schema::LazyActiveDomain* domain, Scratch* scratch)
       : plan_(plan),
         schema_(schema),
-        config_(config),
+        view_(config, index),
         fresh_base_(fresh_base),
         options_(options),
-        index_(index),
         domain_(domain),
         sc_(*scratch),
         store_(store::Store::Get()) {}
@@ -573,69 +601,27 @@ class RealizationMatcher {
     emitted_ = 0;
     for (uint32_t i = plan_.disjunct_realizers[d];
          i < plan_.disjunct_realizers[d + 1] && !truncated_; ++i) {
-      r_ = &plan_.realizers[i];
-      sc_.slots.resize(r_->num_slots());
-      for (uint32_t k = 0; k < r_->num_constants; ++k) {
-        uint32_t c = r_->constants_begin + k;
-        store::ValueId id = plan_.constant_ids[c];
-        if (id == store::kNoValueId) {
-          id = store_.TryFindValue(plan_.constants[c]);
+      const Realizer& r = plan_.realizers[i];
+      auto match = [&](const store::ValueId* ids) {
+        if (emitted_ >= options_.max_realizations_per_step) {
+          // The cap is suppressing a complete match: the step is
+          // non-exhaustive from here on.
+          truncated_ = true;
+          return true;
         }
-        sc_.slots[r_->num_vars + k] = id;
-      }
-      if (Match(0, emit)) return true;
+        return Finish(r, ids, emit);
+      };
+      if (plan_.match.Stream(view_, r.entry, match)) return !truncated_;
     }
     return false;
   }
 
  private:
+  /// Instantiates a complete match of `r` (`ids`: the match program's
+  /// slots); emits it when every check passes.
   template <typename Emit>
-  bool Match(uint32_t i, const Emit& emit) {
-    const Realizer& r = *r_;
-    if (i == r.num_atoms) {
-      if (emitted_ >= options_.max_realizations_per_step) {
-        // The cap is suppressing a complete match: the step is
-        // non-exhaustive from here on.
-        truncated_ = true;
-        return false;
-      }
-      return Finish(emit);
-    }
-    const Realizer::Atom& atom = plan_.match_atoms[r.atoms_begin + i];
-    const Realizer::Arg* args = plan_.match_args.data() + atom.args_begin;
-    const store::FactSet::Ptr& facts = config_.facts(atom.relation);
-    // A bound position selects the candidates through the memoized
-    // per-relation index (COW sharing keeps it valid across every node
-    // sharing the relation); a never-interned value is in no fact.
-    const std::vector<store::FactId>* candidates = &facts->ids();
-    if (atom.index_pos >= 0) {
-      store::ValueId v = sc_.slots[args[atom.index_pos].slot];
-      if (v == store::kNoValueId) return false;
-      candidates = &index_->Lookup(facts, atom.index_pos, v);
-    }
-    for (store::FactId fact : *candidates) {
-      const std::vector<store::ValueId>& row = store_.fact_values(fact);
-      if (row.size() != atom.arity) continue;
-      bool ok = true;
-      for (uint32_t p = 0; p < atom.arity && ok; ++p) {
-        store::ValueId& slot = sc_.slots[args[p].slot];
-        if (args[p].bind) {
-          slot = row[p];
-        } else {
-          ok = slot == row[p];
-        }
-      }
-      if (ok && Match(i + 1, emit)) return true;
-      if (truncated_) return false;
-    }
-    return false;
-  }
-
-  /// Instantiates the current complete match; emits it when every
-  /// check passes.
-  template <typename Emit>
-  bool Finish(const Emit& emit) {
-    const Realizer& r = *r_;
+  bool Finish(const Realizer& r, const store::ValueId* ids,
+              const Emit& emit) {
     const schema::AccessMethod& am = schema_.method(r.method);
     const std::vector<schema::Position>& inputs = am.input_positions;
     const std::vector<ValueType>& types =
@@ -648,9 +634,8 @@ class RealizationMatcher {
     const uint32_t* slots = plan_.slots.data() + r.slots_begin;
     std::vector<const Value*>& values = sc_.values;
     values.assign(r.num_slots(), nullptr);
-    for (uint32_t k = 0; k < r.num_matched; ++k) {
-      values[*slots] = &store_.value(sc_.slots[*slots]);
-      ++slots;
+    for (uint32_t k = 0; k < r.num_matched; ++k, slots += 2) {
+      values[slots[0]] = &store_.value(ids[slots[1]]);
     }
     for (uint32_t k = 0; k < r.num_constants; ++k) {
       values[r.num_vars + k] = &plan_.constants[r.constants_begin + k];
@@ -783,14 +768,12 @@ class RealizationMatcher {
 
   const SearchPlan& plan_;
   const schema::Schema& schema_;
-  const Instance& config_;
+  const ConfigView view_;
   const int64_t fresh_base_;
   const WitnessSearchOptions& options_;
-  store::MatchIndexCache::LocalView* index_;
   schema::LazyActiveDomain* domain_;
   Scratch& sc_;
   const store::Store& store_;
-  const Realizer* r_ = nullptr;
   size_t emitted_ = 0;
   bool truncated_ = false;
 };

@@ -77,9 +77,9 @@ struct CompiledFormula::Program {
   /// 0 .. num_params-1.
   std::vector<std::pair<std::string, uint32_t>> free_slots;
   uint32_t num_params = 0;
-  /// A CompiledFormula::Sentences program: sentence i's entry is
-  /// branches[branches.size() - num_sentences + i].
-  uint32_t num_sentences = 0;
+  /// A Sentences or Entries program: entry i is
+  /// branches[branches.size() - num_entries + i].
+  uint32_t num_entries = 0;
 };
 
 namespace {
@@ -95,7 +95,7 @@ class Compiler {
 
   /// Compiles each formula to its own entry, in order; returns the
   /// entries. The formulas share their free variables by name, and
-  /// constant slots.
+  /// constant slots; each starts with its free variables unbound.
   std::vector<int> Compile(const std::vector<const PosFormula*>& fs,
                            const std::vector<std::string>& params) {
     for (const std::string& name : params) {
@@ -108,6 +108,9 @@ class Compiler {
     p_->args.reserve(args);
     std::vector<int> entries;
     for (const PosFormula* f : fs) {
+      for (size_t i = p_->num_params; i < p_->free_slots.size(); ++i) {
+        status_[p_->free_slots[i].second] = kUnboundS;
+      }
       std::vector<int> exits;
       entries.push_back(Emit(f, &exits));
       Patch(exits, -1);
@@ -400,6 +403,7 @@ class Machine {
   }
 
   ValueId slot(uint32_t s) const { return slots_[s]; }
+  const ValueId* slots() const { return slots_; }
 
   const Value& Decode(ValueId id) const {
     return id < kLocalBase ? store_.value(id)
@@ -596,6 +600,19 @@ CompiledFormula::CompiledFormula(const PosFormulaPtr& f,
   program_ = std::move(program);
 }
 
+CompiledFormula CompiledFormula::MultiEntry(
+    const std::vector<const PosFormula*>& fs) {
+  auto program = std::make_shared<Program>();
+  std::vector<int> entries = Compiler(program.get()).Compile(fs, {});
+  program->branches.insert(program->branches.end(), entries.begin(),
+                           entries.end());
+  program->branches.shrink_to_fit();
+  program->num_entries = static_cast<uint32_t>(entries.size());
+  CompiledFormula out;
+  out.program_ = std::move(program);
+  return out;
+}
+
 CompiledFormula CompiledFormula::Sentences(
     const std::vector<PosFormulaPtr>& sentences) {
   std::vector<const PosFormula*> fs;
@@ -603,15 +620,21 @@ CompiledFormula CompiledFormula::Sentences(
     assert(f->IsSentence() && "Sentences requires closed formulas");
     fs.push_back(f.get());
   }
-  auto program = std::make_shared<Program>();
-  std::vector<int> entries = Compiler(program.get()).Compile(fs, {});
-  program->branches.insert(program->branches.end(), entries.begin(),
-                           entries.end());
-  program->branches.shrink_to_fit();
-  program->num_sentences = static_cast<uint32_t>(entries.size());
-  CompiledFormula out;
-  out.program_ = std::move(program);
-  return out;
+  return MultiEntry(fs);
+}
+
+CompiledFormula CompiledFormula::Entries(
+    const std::vector<PosFormulaPtr>& formulas) {
+  std::vector<const PosFormula*> fs;
+  for (const PosFormulaPtr& f : formulas) fs.push_back(f.get());
+  return MultiEntry(fs);
+}
+
+int CompiledFormula::FreeSlot(const std::string& name) const {
+  for (const auto& [free_name, slot] : program_->free_slots) {
+    if (free_name == name) return static_cast<int>(slot);
+  }
+  return -1;
 }
 
 bool CompiledFormula::Eval(const StructureView& view,
@@ -629,11 +652,21 @@ void CompiledFormula::EvalEach(const StructureView& view,
   // evaluation state serves the sentences in turn.
   Machine m(p, view);
   auto done = [] { return true; };
-  const int* entries = p.branches.data() + p.branches.size() - p.num_sentences;
-  truth->resize(p.num_sentences);
-  for (uint32_t i = 0; i < p.num_sentences; ++i) {
+  const int* entries = p.branches.data() + p.branches.size() - p.num_entries;
+  truth->resize(p.num_entries);
+  for (uint32_t i = 0; i < p.num_entries; ++i) {
     (*truth)[i] = m.Exec(entries[i], done) ? 1 : 0;
   }
+}
+
+bool CompiledFormula::StreamEntry(const StructureView& view, uint32_t entry,
+                                  bool (*k)(void*, const ValueId*),
+                                  void* ctx) const {
+  const Program& p = *program_;
+  assert(entry < p.num_entries);
+  Machine m(p, view);
+  auto match = [&] { return k(ctx, m.slots()); };
+  return m.Exec(p.branches[p.branches.size() - p.num_entries + entry], match);
 }
 
 std::set<Tuple> CompiledFormula::Answers(

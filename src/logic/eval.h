@@ -1,6 +1,7 @@
 #ifndef ACCLTL_LOGIC_EVAL_H_
 #define ACCLTL_LOGIC_EVAL_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -67,10 +68,44 @@ class CompiledFormula {
   /// `view`, else 0.
   void EvalEach(const StructureView& view, std::vector<char>* truth) const;
 
+  /// Formulas compiled into one program of numbered entries, for
+  /// callers that stream the matches of many small queries (Stream).
+  /// The entries share their free variables by name — FreeSlot gives
+  /// the slot — and each entry starts with all of them unbound.
+  static CompiledFormula Entries(const std::vector<PosFormulaPtr>& formulas);
+
+  /// The slot of free variable `name`, or -1 when the program has none.
+  int FreeSlot(const std::string& name) const;
+
+  /// Streams the matches of entry `entry` of an Entries program on
+  /// `view`, in match order (a conjunction's atoms in written order,
+  /// each atom's facts in GetTuples order): calls `k(slots)` once per
+  /// satisfying assignment, with `slots[FreeSlot(name)]` the store id
+  /// bound to `name` (a value the store has never seen gets an id no
+  /// fact holds). Stops at the first `k` that returns true, and returns
+  /// whether one did. Interns nothing, and allocates nothing on views
+  /// that serve fact ids for programs of at most 24 slots.
+  template <typename K>
+  bool Stream(const StructureView& view, uint32_t entry, K& k) const {
+    return StreamEntry(
+        view, entry,
+        [](void* f, const store::ValueId* slots) {
+          return (*static_cast<K*>(f))(slots);
+        },
+        &k);
+  }
+
   /// The compiled program (defined in eval.cc).
   struct Program;
 
  private:
+  /// Compiles `formulas` to one entry each, recorded after the
+  /// program's own branches.
+  static CompiledFormula MultiEntry(const std::vector<const PosFormula*>& fs);
+  bool StreamEntry(const StructureView& view, uint32_t entry,
+                   bool (*k)(void*, const store::ValueId*),
+                   void* ctx) const;
+
   std::shared_ptr<const Program> program_;
 };
 

@@ -601,6 +601,40 @@ TEST_F(LogicTest, CompiledSentencesAgreeWithSeparateCompiles) {
   EXPECT_TRUE(truth.empty());
 }
 
+/// Entries share their free variables by name, and each starts with
+/// them unbound (entry 1 binds `n` although entry 0 bound it first).
+/// Stream reports the matches in fact-id order, not value order, and
+/// stops at the first continuation that asks.
+TEST_F(LogicTest, CompiledEntriesStreamMatchesInFactOrder) {
+  schema::Instance inst(pd_.schema);
+  inst.AddFact(pd_.address, {S("st-road"), S("st-pc"), S("st-b"), I(1)});
+  inst.AddFact(pd_.address, {S("st-road"), S("st-pc"), S("st-a"), I(2)});
+  inst.AddFact(pd_.mobile, {S("st-a"), S("st-pc"), S("st-road"), I(3)});
+  InstanceView view(inst);
+  CompiledFormula f = CompiledFormula::Entries({
+      Parse("Address(s,p,n,h)"),
+      Parse("Mobile(n,p,s,ph) AND Address(s,p,n,h)"),
+      Parse("Address(s,p,n,h) AND n = \"st-unseen\""),
+  });
+  const int n = f.FreeSlot("n");
+  ASSERT_GE(n, 0);
+  EXPECT_EQ(f.FreeSlot("zz"), -1);
+  auto stream = [&](uint32_t entry, size_t stop_after) {
+    std::vector<std::string> names;
+    auto k = [&](const store::ValueId* slots) {
+      names.push_back(store::Store::Get().value(slots[n]).AsString());
+      return names.size() == stop_after;
+    };
+    const bool stopped = f.Stream(view, entry, k);
+    EXPECT_EQ(stopped, names.size() == stop_after);
+    return names;
+  };
+  EXPECT_EQ(stream(0, 9), (std::vector<std::string>{"st-b", "st-a"}));
+  EXPECT_EQ(stream(0, 1), std::vector<std::string>{"st-b"});
+  EXPECT_EQ(stream(1, 9), std::vector<std::string>{"st-a"});
+  EXPECT_TRUE(stream(2, 9).empty());
+}
+
 }  // namespace
 }  // namespace logic
 }  // namespace accltl
