@@ -201,37 +201,6 @@ void BM_WitnessSearchDiamond(benchmark::State& state) {
 }
 BENCHMARK(BM_WitnessSearchDiamond)->DenseRange(2, 4, 1);
 
-// Dedup ablation on the diamond workload: identical search with the
-// (state, configuration-hash) visited table on vs off. The `nodes`
-// counter demonstrates the reduction; time shows its cost/benefit.
-void BM_WitnessSearchDedupAblation(benchmark::State& state) {
-  workload::PhoneDirectory pd = workload::MakePhoneDirectory();
-  acc::AccPtr f =
-      acc::ParseAccFormula(
-          "F [EXISTS n . IsBind_AcM1(n) AND "
-          "(EXISTS p,s,ph . Mobile_post(n,p,s,ph))] AND "
-          "F [EXISTS s,p . IsBind_AcM2(s,p) AND "
-          "(EXISTS n,h . Address_post(s,p,n,h))] AND "
-          "F [EXISTS n . IsBind_AcM1(n) AND n != n]",
-          pd.schema)
-          .value();
-  automata::AAutomaton a =
-      automata::CompileToAutomaton(f, pd.schema).value();
-  automata::WitnessSearchOptions opts;
-  opts.max_path_length = 3;
-  opts.use_visited_dedup = state.range(0) != 0;
-  for (auto _ : state) {
-    automata::WitnessSearchResult r = automata::BoundedWitnessSearch(
-        a, pd.schema, schema::Instance(pd.schema), opts);
-    benchmark::DoNotOptimize(r.found);
-    state.counters["nodes"] = static_cast<double>(r.nodes_explored);
-  }
-}
-BENCHMARK(BM_WitnessSearchDedupAblation)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgNames({"dedup"});
-
 // Breadth-first LTS exploration with configuration dedup: transitions
 // per level vastly outnumber distinct configurations, so the dedup
 // structure (deep set<Instance> compare vs hash lookup) dominates.

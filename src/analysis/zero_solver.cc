@@ -11,11 +11,10 @@
 
 #include "src/accltl/abstraction.h"
 #include "src/accltl/semantics.h"
-#include "src/engine/compact_table.h"
 #include "src/engine/explorer.h"
 #include "src/engine/path_link.h"
 #include "src/engine/two_phase.h"
-#include "src/engine/visited_table.h"
+#include "src/engine/visited_store.h"
 #include "src/logic/cq.h"
 #include "src/logic/eval.h"
 #include "src/ltl/tableau.h"
@@ -200,7 +199,6 @@ using schema::AccessMethodId;
 using schema::RelationId;
 
 using PathLink = engine::PathLink<schema::AccessStep>;
-using engine::CmpChains;
 using engine::CmpPathKeys;
 
 /// A pool fact while the pool is built (ZeroPoolFact is its compact,
@@ -461,11 +459,8 @@ class ZeroSolver {
         options_(options),
         exec_(exec),
         compiled_(plan.Searchable(schema)),
-        workers_(std::max<size_t>(1, exec.num_threads)) {
-    if (exec.visited_mode == engine::VisitedMode::kCompact) {
-      compact_.emplace(64);
-    }
-  }
+        workers_(std::max<size_t>(1, exec.num_threads)),
+        visited_(exec, 64) {}
 
   Result<ZeroSolverResult> Run() {
     // Search on the shared engine: serial pf-DFS at one worker,
@@ -478,39 +473,56 @@ class ZeroSolver {
  private:
   // --- Engine plumbing (mirrors automata::BoundedWitnessSearch) -------------
 
-  static uint64_t NodeHash(const ZeroNode& node) {
-    uint64_t h = store::Mix64(node.facts);
-    for (int t : node.tableau) {
+  static uint64_t NodeHash(uint64_t facts, const std::vector<int>& tableau) {
+    uint64_t h = store::Mix64(facts);
+    for (int t : tableau) {
       h = store::Mix64(h ^ static_cast<uint64_t>(static_cast<unsigned>(t)));
     }
     return h;
   }
 
-  /// Dedup entry: exact data for confirmation plus the dominance
-  /// tie-breakers (depth, path content).
+  /// Exact-mode dedup entry (engine::VisitedStore): exact data for
+  /// confirmation plus the dominance tie-breakers (depth, path
+  /// content).
   struct VisitedEntry {
+    explicit VisitedEntry(const ZeroNode& node)
+        : facts(node.facts),
+          tableau(node.tableau),
+          depth(node.depth),
+          path(node.path),
+          links(node.links) {}
+
+    uint64_t Hash() const { return NodeHash(facts, tableau); }
+
+    /// "existing makes candidate redundant": same exact (facts,
+    /// tableau) state, no deeper, and no later in path-content order —
+    /// the original solver's (state, shallowest-depth) memo, refined by
+    /// the content order so same-depth twins keep the pf-smaller path.
+    /// Equal states reach the same configurations and letters (the
+    /// configuration is a function of `facts`; synthesized placeholder
+    /// bindings never affect atom truth), so the dominated subtree can
+    /// only rediscover paths the retained one also reaches.
+    static bool Dominates(const VisitedEntry& existing,
+                          const VisitedEntry& candidate) {
+      if (existing.facts != candidate.facts) return false;
+      if (existing.depth > candidate.depth) return false;
+      if (existing.tableau != candidate.tableau) return false;
+      return CmpPathKeys(existing.links, candidate.links) <= 0;
+    }
+
+    /// Logical footprint: struct plus the owned vectors' live elements
+    /// (sizes, never capacities).
+    size_t Bytes() const {
+      return sizeof(VisitedEntry) + tableau.size() * sizeof(int) +
+             links.size() * sizeof(const PathLink*);
+    }
+
     uint64_t facts;
     std::vector<int> tableau;
     uint32_t depth;
     std::shared_ptr<const PathLink> path;
     std::vector<const PathLink*> links;
   };
-
-  /// "existing makes candidate redundant": same exact (facts, tableau)
-  /// state, no deeper, and no later in path-content order — the
-  /// original solver's (state, shallowest-depth) memo, refined by the
-  /// content order so same-depth twins keep the pf-smaller path. Equal
-  /// states reach the same configurations and letters (the
-  /// configuration is a function of `facts`; synthesized placeholder
-  /// bindings never affect atom truth), so the dominated subtree can
-  /// only rediscover paths the retained one also reaches.
-  static bool Dominates(const VisitedEntry& existing,
-                        const VisitedEntry& candidate) {
-    if (existing.facts != candidate.facts) return false;
-    if (existing.depth > candidate.depth) return false;
-    if (existing.tableau != candidate.tableau) return false;
-    return CmpPathKeys(existing.links, candidate.links) <= 0;
-  }
 
   /// Candidate child during expansion, before sorting.
   struct Child {
@@ -525,16 +537,16 @@ class ZeroSolver {
   /// Tree-compressed identity of a (facts, tableau) state: the 64-bit
   /// fact mask folds into a pair of leaves, the tableau subset into a
   /// canonical set trie — ref equality ⇔ equal state (treedb.h).
-  store::TreeRef NodeRef(uint64_t facts, const std::vector<int>& tableau) {
-    store::TreeDb& treedb = compact_->treedb;
+  static store::TreeRef NodeRef(store::TreeDb* treedb, uint64_t facts,
+                                const std::vector<int>& tableau) {
     store::TreeRef tab = store::kNilTreeRef;
     for (int t : tableau) {
-      tab = treedb.InsertSet(tab, static_cast<uint32_t>(t));
+      tab = treedb->InsertSet(tab, static_cast<uint32_t>(t));
     }
-    store::TreeRef facts_ref = treedb.InternPair(
-        treedb.InternLeaf(static_cast<uint32_t>(facts & 0xffffffffu)),
-        treedb.InternLeaf(static_cast<uint32_t>(facts >> 32)));
-    return treedb.InternPair(facts_ref, tab);
+    store::TreeRef facts_ref = treedb->InternPair(
+        treedb->InternLeaf(static_cast<uint32_t>(facts & 0xffffffffu)),
+        treedb->InternLeaf(static_cast<uint32_t>(facts >> 32)));
+    return treedb->InternPair(facts_ref, tab);
   }
 
   std::vector<std::unique_ptr<ZeroNode>> MakeRoots() {
@@ -543,11 +555,13 @@ class ZeroSolver {
     root->tableau = {plan_.initial_state};
     root->config = schema::Instance(schema_);
     root->depth = 0;
-    if (compact_) root->ref = NodeRef(root->facts, root->tableau);
+    if (store::TreeDb* treedb = visited_.treedb()) {
+      root->ref = NodeRef(treedb, root->facts, root->tableau);
+    }
     if (!options_.require_idempotent) {
       // Seeding the table with the root (depth 0, empty path) makes it
       // dominate every do-nothing loop back to the initial state.
-      RegisterNode(*root);
+      visited_.Register(*root);
     }
     std::vector<std::unique_ptr<ZeroNode>> roots;
     roots.push_back(std::move(root));
@@ -576,28 +590,17 @@ class ZeroSolver {
               // The byte budget's level-mode cut point: decided at the
               // barrier over the complete reduced frontier, so the cut
               // level is schedule-independent.
-              if (OverMemoryBudget()) {
-                memory_truncated_.store(true, std::memory_order_relaxed);
-                frontier.clear();
-              }
+              if (visited_.OverBudget()) frontier.clear();
               return frontier;
             },
             [this] { return best_.Snapshot() != nullptr; },
             [this] {
               // The sweep must see a deterministic table and
               // truncation state: the pilot's partial state is
-              // discarded. In compact mode the treedb resets with it —
-              // the sweep re-interns from its roots, so the final node
-              // count never depends on what the pilot touched.
+              // discarded.
               visited_.Clear();
-              if (compact_) compact_->Clear();
-              visited_bytes_.store(0, std::memory_order_relaxed);
               truncated_.store(false, std::memory_order_relaxed);
-              memory_truncated_.store(false, std::memory_order_relaxed);
             });
-    stats.visited_bytes = visited_bytes_.load(std::memory_order_relaxed) +
-                          TreeDbBytes();
-    stats.treedb_nodes = compact_ ? compact_->treedb.num_nodes() : 0;
     return Finalize(stats);
   }
 
@@ -607,11 +610,10 @@ class ZeroSolver {
     result.nodes_explored = stats.nodes_explored;
     result.exhausted_budget =
         stats.budget_exhausted ||
-        truncated_.load(std::memory_order_relaxed) ||
-        memory_truncated_.load(std::memory_order_relaxed);
+        truncated_.load(std::memory_order_relaxed) || visited_.truncated();
     result.cancelled = stats.cancelled;
-    result.visited_bytes = stats.visited_bytes;
-    result.treedb_nodes = stats.treedb_nodes;
+    result.visited_bytes = visited_.bytes();
+    result.treedb_nodes = visited_.treedb_nodes();
     std::shared_ptr<const engine::BestPathTracker<schema::AccessStep>::Path>
         best = best_.Snapshot();
     result.satisfiable = best != nullptr;
@@ -626,79 +628,6 @@ class ZeroSolver {
     return result;
   }
 
-  /// Logical footprint of an exact entry: struct plus the owned
-  /// vectors' live elements (sizes, never capacities — visited_bytes
-  /// must be deterministic whenever the search is).
-  static size_t EntryBytes(const VisitedEntry& entry) {
-    return sizeof(VisitedEntry) + entry.tableau.size() * sizeof(int) +
-           entry.links.size() * sizeof(const PathLink*);
-  }
-
-  /// Enters a node into the visited table. Returns false when it is
-  /// dominated (redundant — do not explore). Both modes maintain
-  /// visited_bytes_ as the live entries' logical footprint.
-  bool RegisterNode(const ZeroNode& node) {
-    if (compact_) {
-      engine::CompactEntry entry;
-      entry.ref = node.ref;
-      entry.depth = node.depth;
-      entry.path = std::shared_ptr<const void>(node.path, node.path.get());
-      bool dominated = compact_->visited.CheckAndInsert(
-          std::move(entry),
-          [](const engine::CompactEntry& existing,
-             const engine::CompactEntry& candidate) {
-            // Ref equality (checked by the table) *is* the exact
-            // (facts, tableau) identity; only the tie-breakers remain.
-            if (existing.depth > candidate.depth) return false;
-            return CmpChains(
-                       static_cast<const PathLink*>(existing.path.get()),
-                       static_cast<const PathLink*>(candidate.path.get())) <=
-                   0;
-          },
-          [this](const engine::CompactEntry&) {
-            visited_bytes_.fetch_sub(sizeof(engine::CompactEntry),
-                                     std::memory_order_relaxed);
-          });
-      if (!dominated) {
-        visited_bytes_.fetch_add(sizeof(engine::CompactEntry),
-                                 std::memory_order_relaxed);
-      }
-      return !dominated;
-    }
-    VisitedEntry entry;
-    entry.facts = node.facts;
-    entry.tableau = node.tableau;
-    entry.depth = node.depth;
-    entry.path = node.path;
-    entry.links = node.links;
-    size_t entry_bytes = EntryBytes(entry);
-    bool dominated = visited_.CheckAndInsert(
-        NodeHash(node), std::move(entry), Dominates,
-        [this](const VisitedEntry& evicted) {
-          visited_bytes_.fetch_sub(EntryBytes(evicted),
-                                   std::memory_order_relaxed);
-        });
-    if (!dominated) {
-      visited_bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    }
-    return !dominated;
-  }
-
-  /// True once the accounted footprint (table entries plus the treedb
-  /// arena in compact mode) exceeds a nonzero max_visited_bytes.
-  bool OverMemoryBudget() const {
-    size_t cap = exec_.max_visited_bytes;
-    if (cap == 0) return false;
-    size_t used = visited_bytes_.load(std::memory_order_relaxed) +
-                  TreeDbBytes();
-    return used > cap;
-  }
-
-  /// The treedb arena's share of visited_bytes (compact mode only).
-  size_t TreeDbBytes() const {
-    return compact_ ? compact_->treedb.bytes() : 0;
-  }
-
   std::unique_ptr<ZeroNode> MakeNode(const ZeroNode& parent, Child& child) {
     auto next = std::make_unique<ZeroNode>();
     next->facts = child.facts;
@@ -710,7 +639,9 @@ class ZeroSolver {
     next->links = parent.links;
     next->path = engine::ExtendPath(parent.path, std::move(child.step),
                                     std::move(child.key), &next->links);
-    if (compact_) next->ref = NodeRef(next->facts, next->tableau);
+    if (store::TreeDb* treedb = visited_.treedb()) {
+      next->ref = NodeRef(treedb, next->facts, next->tableau);
+    }
     return next;
   }
 
@@ -719,8 +650,7 @@ class ZeroSolver {
                 engine::Explorer<ZeroNode>::Context& ctx) {
     // The byte budget's serial cut point: checked per pop on the one
     // worker, so the cut node is deterministic.
-    if (OverMemoryBudget()) {
-      memory_truncated_.store(true, std::memory_order_relaxed);
+    if (visited_.OverBudget()) {
       ctx.Abort();
       return;
     }
@@ -752,7 +682,7 @@ class ZeroSolver {
       // acceptance is edge-local, so a non-accepting twin must not
       // shadow them (nor vice versa).
       if (!next->accepting && !options_.require_idempotent &&
-          !RegisterNode(*next)) {
+          !visited_.Register(*next)) {
         continue;
       }
       survivors.push_back(std::move(next));
@@ -791,7 +721,9 @@ class ZeroSolver {
       std::vector<std::vector<ZeroNode*>> batches) {
     return engine::ReduceLevelByContent<ZeroNode>(
         std::move(batches),
-        [](const ZeroNode& node) { return NodeHash(node); },
+        [](const ZeroNode& node) {
+          return NodeHash(node.facts, node.tableau);
+        },
         [](const ZeroNode& a, const ZeroNode& b) {
           int c = CmpPathKeys(a.links, b.links);
           if (c != 0) return c < 0;
@@ -803,7 +735,7 @@ class ZeroSolver {
         [this](const ZeroNode& node) {
           if (best_.Prunes(node.links)) return false;
           if (!node.accepting && !options_.require_idempotent &&
-              !RegisterNode(node)) {
+              !visited_.Register(node)) {
             return false;
           }
           return true;
@@ -1049,15 +981,11 @@ class ZeroSolver {
   engine::ExecOptions exec_;
   const ZeroPlan::Compiled& compiled_;
   size_t workers_;
-  engine::ShardedVisitedTable<VisitedEntry> visited_{64};
+  /// Exact records or tree-compressed refs (engine/cancel.h
+  /// VisitedMode), their byte accounting, and the byte-budget cut.
+  engine::VisitedStore<VisitedEntry> visited_;
   engine::BestPathTracker<schema::AccessStep> best_;
   std::atomic<bool> truncated_{false};
-
-  /// Compact-mode storage (see engine/cancel.h VisitedMode), engaged
-  /// only under kCompact, and the byte accounting shared by both modes.
-  std::optional<engine::CompactSearchStorage> compact_;
-  std::atomic<size_t> visited_bytes_{0};
-  std::atomic<bool> memory_truncated_{false};
 };
 
 }  // namespace

@@ -12,11 +12,10 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/compact_table.h"
 #include "src/engine/explorer.h"
 #include "src/engine/path_link.h"
 #include "src/engine/two_phase.h"
-#include "src/engine/visited_table.h"
+#include "src/engine/visited_store.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/treedb.h"
@@ -798,7 +797,6 @@ class RealizationMatcher {
 // shared with the zero-ary solver's engine port.
 
 using PathLink = engine::PathLink<schema::AccessStep>;
-using engine::CmpChains;
 using engine::CmpPathKeys;
 
 /// One frontier node of the witness search.
@@ -817,14 +815,10 @@ struct SearchNode {
   /// without walking or allocating.
   std::vector<const PathLink*> links;
   /// Compact mode only: the tree-compressed identity
-  /// pair(state, tuple(per-relation set refs)) and its ingredients.
-  /// Children derive these as *deltas* — the one accessed relation's
-  /// set ref is extended by the response fact ids and the O(log R)
-  /// tuple spine re-interned — instead of re-encoding the whole
-  /// configuration.
+  /// pair(state, config_ref) and the configuration's refs, which
+  /// children extend as a delta (store::ExtendConfigRefs).
   store::TreeRef ref = store::kNilTreeRef;
-  store::TreeRef config_ref = store::kNilTreeRef;
-  std::vector<store::TreeRef> rel_refs;
+  store::ConfigRefs refs;
 };
 
 /// Shared state of one BoundedWitnessSearch run.
@@ -839,10 +833,8 @@ class Search {
         exec_(exec),
         initial_(initial),
         plan_(PlanFor(automaton, schema)),
-        workers_(std::max<size_t>(1, exec.num_threads)) {
-    if (exec.visited_mode == engine::VisitedMode::kCompact) {
-      compact_.emplace(256);
-    }
+        workers_(std::max<size_t>(1, exec.num_threads)),
+        visited_(exec, 256) {
     local_views_.reserve(workers_);
     for (size_t i = 0; i < workers_; ++i) {
       local_views_.emplace_back(&index_cache_);
@@ -878,28 +870,17 @@ class Search {
               // The byte budget's level-mode cut point: decided at the
               // barrier over the complete reduced frontier, so the cut
               // level is schedule-independent.
-              if (OverMemoryBudget()) {
-                memory_truncated_.store(true, std::memory_order_relaxed);
-                frontier.clear();
-              }
+              if (visited_.OverBudget()) frontier.clear();
               return frontier;
             },
             [this] { return BestSnapshot() != nullptr; },
             [this] {
               // The sweep must see a deterministic table and
               // truncation state: the pilot's partial state is
-              // discarded. In compact mode the treedb resets with it —
-              // the sweep re-interns from its roots, so the final node
-              // count never depends on what the pilot touched.
+              // discarded.
               visited_.Clear();
-              if (compact_) compact_->Clear();
-              visited_bytes_.store(0, std::memory_order_relaxed);
               realization_truncated_.store(false, std::memory_order_relaxed);
-              memory_truncated_.store(false, std::memory_order_relaxed);
             });
-    stats.visited_bytes =
-        visited_bytes_.load(std::memory_order_relaxed) + TreeDbBytes();
-    stats.treedb_nodes = compact_ ? compact_->treedb.num_nodes() : 0;
     return Finalize(stats);
   }
 
@@ -916,25 +897,20 @@ class Search {
       root->fresh_base =
           std::max(root->fresh_base, logic::FreshValueIndex(v) + 1);
     }
-    if (compact_) {
-      store::TreeDb& treedb = compact_->treedb;
-      root->rel_refs.resize(schema_.num_relations());
-      for (RelationId r = 0; r < schema_.num_relations(); ++r) {
-        const std::vector<store::FactId>& ids = initial_.facts(r)->ids();
-        root->rel_refs[r] = treedb.SetFromKeys(ids.data(), ids.size());
-      }
-      root->config_ref =
-          treedb.InternTuple(root->rel_refs.data(), root->rel_refs.size());
-      root->ref = treedb.InternPair(
-          treedb.InternLeaf(static_cast<uint32_t>(root->state)),
-          root->config_ref);
+    if (store::TreeDb* treedb = visited_.treedb()) {
+      root->refs = store::FoldConfigRefs(
+          treedb, schema_.num_relations(),
+          [this](size_t r) -> const std::vector<store::FactId>& {
+            return initial_.facts(static_cast<RelationId>(r))->ids();
+          });
+      root->ref = treedb->InternPair(
+          treedb->InternLeaf(static_cast<uint32_t>(root->state)),
+          root->refs.config_ref);
     }
-    if (options_.use_visited_dedup) {
-      // Seeding the table with the root (depth 0, empty path) makes it
-      // dominate every do-nothing loop back to the initial
-      // configuration outright.
-      RegisterNode(*root);
-    }
+    // Seeding the table with the root (depth 0, empty path) makes it
+    // dominate every do-nothing loop back to the initial configuration
+    // outright.
+    visited_.Register(*root);
     std::vector<std::unique_ptr<SearchNode>> roots;
     roots.push_back(std::move(root));
     return roots;
@@ -947,20 +923,59 @@ class Search {
     result.exhausted_budget =
         stats.budget_exhausted ||
         realization_truncated_.load(std::memory_order_relaxed) ||
-        memory_truncated_.load(std::memory_order_relaxed);
+        visited_.truncated();
     result.cancelled = stats.cancelled;
-    result.visited_bytes = stats.visited_bytes;
-    result.treedb_nodes = stats.treedb_nodes;
+    result.visited_bytes = visited_.bytes();
+    result.treedb_nodes = visited_.treedb_nodes();
     std::shared_ptr<const BestWitness> best = BestSnapshot();
     result.found = best != nullptr;
     if (best != nullptr) result.witness = schema::AccessPath(best->steps);
     return result;
   }
 
-  /// Dedup entry: exact data for confirmation plus the dominance
-  /// tie-breakers (depth, path content). `path` pins the chain the
-  /// `links` pointers reference.
+  /// Exact-mode dedup entry (engine::VisitedStore): exact data for
+  /// confirmation plus the dominance tie-breakers (depth, path
+  /// content). `path` pins the chain the `links` pointers reference.
   struct VisitedEntry {
+    explicit VisitedEntry(const SearchNode& node)
+        : state(node.state),
+          config(node.config),
+          depth(node.depth),
+          path(node.path),
+          links(node.links) {}
+
+    uint64_t Hash() const { return NodeHash(state, config); }
+
+    /// "existing makes candidate redundant": same exact (state,
+    /// config), no deeper, and no later in path-content order. Equal
+    /// configurations expand identically (configuration-derived fresh
+    /// bases), so the pf-smaller, depth-no-worse twin's subtree
+    /// contains the same suffixes under a smaller prefix — exploring
+    /// the candidate could only rediscover pf-larger witnesses.
+    static bool Dominates(const VisitedEntry& existing,
+                          const VisitedEntry& candidate) {
+      if (existing.state != candidate.state) return false;
+      if (existing.depth > candidate.depth) return false;
+      if (!(existing.config == candidate.config)) return false;
+      return CmpPathKeys(existing.links, candidate.links) <= 0;
+    }
+
+    /// Logical footprint: the struct, the path-link index, and the
+    /// full materialized configuration — set headers plus every fact
+    /// id (sizes, never capacities). COW sharing between entries is an
+    /// allocator courtesy, not a representation guarantee, so each
+    /// entry is charged its own state vector; that is precisely the
+    /// representation the tree database replaces.
+    size_t Bytes() const {
+      size_t bytes =
+          sizeof(VisitedEntry) + links.size() * sizeof(const PathLink*);
+      for (schema::RelationId r = 0; r < config.num_relations(); ++r) {
+        bytes += sizeof(store::FactSet::Ptr) + sizeof(store::FactSet) +
+                 config.facts(r)->size() * sizeof(store::FactId);
+      }
+      return bytes;
+    }
+
     int state;
     Instance config;
     uint32_t depth;
@@ -1023,20 +1038,6 @@ class Search {
     return best_.Snapshot();
   }
 
-  /// "existing makes candidate redundant": same exact (state, config),
-  /// no deeper, and no later in path-content order. Equal
-  /// configurations expand identically (configuration-derived fresh
-  /// bases), so the pf-smaller, depth-no-worse twin's subtree contains
-  /// the same suffixes under a smaller prefix — exploring the
-  /// candidate could only rediscover pf-larger witnesses.
-  static bool Dominates(const VisitedEntry& existing,
-                        const VisitedEntry& candidate) {
-    if (existing.state != candidate.state) return false;
-    if (existing.depth > candidate.depth) return false;
-    if (!(existing.config == candidate.config)) return false;
-    return CmpPathKeys(existing.links, candidate.links) <= 0;
-  }
-
   /// True when no extension of `node` can precede the current best
   /// witness (prefix-compare against it), so the subtree is redundant.
   bool PrunedByBest(const SearchNode& node) {
@@ -1069,8 +1070,7 @@ class Search {
                 engine::Explorer<SearchNode>::Context& ctx) {
     // The byte budget's serial cut point: checked per pop on the one
     // worker, so the cut node is deterministic.
-    if (OverMemoryBudget()) {
-      memory_truncated_.store(true, std::memory_order_relaxed);
+    if (visited_.OverBudget()) {
       ctx.Abort();
       return;
     }
@@ -1114,7 +1114,7 @@ class Search {
       std::unique_ptr<SearchNode> next = MakeNode(
           *node, x.admitted[children[i].access], children[i].to_state);
       if (PrunedByBest(*next)) continue;  // see ReduceLevel: prune first
-      if (options_.use_visited_dedup && !RegisterNode(*next)) continue;
+      if (!visited_.Register(*next)) continue;
       survivors.push_back(std::move(next));
     }
     for (size_t i = survivors.size(); i-- > 0;) {
@@ -1168,96 +1168,8 @@ class Search {
           // order), and registering it would leave schedule-dependent
           // entries behind when a mid-level prune raced the accept.
           if (PrunedByBest(node)) return false;
-          if (options_.use_visited_dedup && !RegisterNode(node)) return false;
-          return true;
+          return visited_.Register(node);
         });
-  }
-
-  /// Logical footprint of an exact entry: struct plus the owned
-  /// vectors' live elements (sizes, never capacities — capacities are
-  /// allocator/schedule artifacts and visited_bytes must be
-  /// deterministic whenever the search is).
-  /// Logical footprint of one exact entry: the struct, the path-link
-  /// index, and the full materialized configuration — set headers plus
-  /// every fact id (sizes, never capacities). COW sharing between
-  /// entries is an allocator courtesy, not a representation guarantee,
-  /// so each entry is charged its own state vector; that is precisely
-  /// the representation the tree database replaces.
-  static size_t EntryBytes(const VisitedEntry& entry) {
-    size_t bytes = sizeof(VisitedEntry) +
-                   entry.links.size() * sizeof(const PathLink*);
-    for (schema::RelationId r = 0; r < entry.config.num_relations(); ++r) {
-      bytes += sizeof(store::FactSet::Ptr) + sizeof(store::FactSet) +
-               entry.config.facts(r)->size() * sizeof(store::FactId);
-    }
-    return bytes;
-  }
-
-  /// Enters a node into the visited table. Returns false when it is
-  /// dominated (redundant — do not explore). Both modes maintain
-  /// visited_bytes_ as the live entries' logical footprint (add on
-  /// insert, subtract on evict), so the byte budget sees the table as
-  /// it stands.
-  bool RegisterNode(const SearchNode& node) {
-    if (compact_) {
-      engine::CompactEntry entry;
-      entry.ref = node.ref;
-      entry.depth = node.depth;
-      entry.path = std::shared_ptr<const void>(node.path, node.path.get());
-      bool dominated = compact_->visited.CheckAndInsert(
-          std::move(entry),
-          [](const engine::CompactEntry& existing,
-             const engine::CompactEntry& candidate) {
-            // Ref equality (checked by the table) *is* the exact
-            // (state, config) identity; only the tie-breakers remain.
-            if (existing.depth > candidate.depth) return false;
-            return CmpChains(
-                       static_cast<const PathLink*>(existing.path.get()),
-                       static_cast<const PathLink*>(candidate.path.get())) <=
-                   0;
-          },
-          [this](const engine::CompactEntry&) {
-            visited_bytes_.fetch_sub(sizeof(engine::CompactEntry),
-                                     std::memory_order_relaxed);
-          });
-      if (!dominated) {
-        visited_bytes_.fetch_add(sizeof(engine::CompactEntry),
-                                 std::memory_order_relaxed);
-      }
-      return !dominated;
-    }
-    VisitedEntry entry;
-    entry.state = node.state;
-    entry.config = node.config;
-    entry.depth = node.depth;
-    entry.path = node.path;
-    entry.links = node.links;
-    size_t entry_bytes = EntryBytes(entry);
-    bool dominated = visited_.CheckAndInsert(
-        NodeHash(node.state, node.config), std::move(entry), Dominates,
-        [this](const VisitedEntry& evicted) {
-          visited_bytes_.fetch_sub(EntryBytes(evicted),
-                                   std::memory_order_relaxed);
-        });
-    if (!dominated) {
-      visited_bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    }
-    return !dominated;
-  }
-
-  /// True once the accounted footprint (table entries plus the treedb
-  /// arena in compact mode) exceeds a nonzero max_visited_bytes.
-  bool OverMemoryBudget() const {
-    size_t cap = exec_.max_visited_bytes;
-    if (cap == 0) return false;
-    size_t used = visited_bytes_.load(std::memory_order_relaxed) +
-                  TreeDbBytes();
-    return used > cap;
-  }
-
-  /// The treedb arena's share of visited_bytes (compact mode only).
-  size_t TreeDbBytes() const {
-    return compact_ ? compact_->treedb.bytes() : 0;
   }
 
   std::unique_ptr<SearchNode> MakeNode(const SearchNode& parent,
@@ -1272,27 +1184,12 @@ class Search {
     next->links = parent.links;
     next->links.push_back(access.link.get());
     next->path = access.link;
-    if (compact_) {
-      // Delta extension: only the accessed relation's set ref moves,
-      // then the O(log R) tuple spine and the (state, config) pair
-      // re-intern — the unchanged relations' subtrees are shared with
-      // the parent by construction.
-      store::TreeDb& treedb = compact_->treedb;
-      next->rel_refs = parent.rel_refs;
-      store::TreeRef set = next->rel_refs[access.rel];
-      for (store::FactId f : access.response_ids) {
-        set = treedb.InsertSet(set, f);
-      }
-      if (set != parent.rel_refs[access.rel]) {
-        next->rel_refs[access.rel] = set;
-        next->config_ref = treedb.UpdateTuple(
-            parent.config_ref, next->rel_refs.size(), access.rel, set);
-      } else {
-        next->config_ref = parent.config_ref;
-      }
-      next->ref = treedb.InternPair(
-          treedb.InternLeaf(static_cast<uint32_t>(next->state)),
-          next->config_ref);
+    if (store::TreeDb* treedb = visited_.treedb()) {
+      next->refs = store::ExtendConfigRefs(treedb, parent.refs, access.rel,
+                                           access.response_ids);
+      next->ref = treedb->InternPair(
+          treedb->InternLeaf(static_cast<uint32_t>(next->state)),
+          next->refs.config_ref);
     }
     return next;
   }
@@ -1445,7 +1342,7 @@ class Search {
             std::max(admitted.fresh_base, logic::FreshValueIndex(v) + 1);
       }
     }
-    if (compact_) {
+    if (visited_.treedb() != nullptr) {
       admitted.rel = am.relation;
       admitted.response_ids = response_ids;
     }
@@ -1468,17 +1365,11 @@ class Search {
 
   store::MatchIndexCache index_cache_;
   std::vector<store::MatchIndexCache::LocalView> local_views_;
-  engine::ShardedVisitedTable<VisitedEntry> visited_{256};
+  /// Exact records or tree-compressed refs (engine/cancel.h
+  /// VisitedMode), their byte accounting, and the byte-budget cut
+  /// (reported as exhausted_budget).
+  engine::VisitedStore<VisitedEntry> visited_;
   std::atomic<bool> realization_truncated_{false};
-
-  /// Compact-mode storage (see engine/cancel.h VisitedMode), engaged
-  /// only under kCompact: the tree-compressed configuration database
-  /// plus the fixed-slot visited table. visited_bytes_ tracks the live
-  /// entries' logical footprint in *either* mode; memory_truncated_
-  /// latches a byte-budget cut (reported as exhausted_budget).
-  std::optional<engine::CompactSearchStorage> compact_;
-  std::atomic<size_t> visited_bytes_{0};
-  std::atomic<bool> memory_truncated_{false};
 
   engine::BestPathTracker<schema::AccessStep> best_;
 };

@@ -24,10 +24,6 @@ struct WitnessSearchOptions {
   size_t max_nodes = 200000;
   /// Cap on realizations enumerated per (transition, disjunct) step.
   size_t max_realizations_per_step = 512;
-  /// Prune revisits of a (state, configuration) pair at the same or a
-  /// greater depth, keyed by the 64-bit configuration hash. Exposed so
-  /// tests/benchmarks can measure the nodes_explored reduction.
-  bool use_visited_dedup = true;
 };
 
 struct WitnessSearchResult {

@@ -130,11 +130,11 @@ struct ExecOptions {
   /// Visited-set storage (exact records vs. tree-compressed indices).
   /// Never changes any verdict, witness, or node count — only bytes.
   VisitedMode visited_mode = VisitedMode::kExact;
-  /// Budget over the visited set's accounted bytes
-  /// (Stats::visited_bytes + the treedb arena in compact mode); 0 =
-  /// unlimited. Exceeding it stops the search with exhausted_budget
-  /// set, at the same count-then-cut points as the node budget — the
-  /// knob that lets a fixed-RAM sweep truncate cleanly instead of
+  /// Budget over the visited set's accounted bytes (the results'
+  /// `visited_bytes`: live entries, plus the treedb arena in compact
+  /// mode; see engine/visited_store.h); 0 = unlimited. Exceeding it
+  /// stops the search with exhausted_budget set, at the same
+  /// count-then-cut points as the node budget — the knob that lets a fixed-RAM sweep truncate cleanly instead of
   /// OOMing, and the benchmarks show completing under kCompact where
   /// kExact is cut. Like a binding max_nodes, a binding byte budget is
   /// scoped out of the cross-thread-count determinism guarantee.

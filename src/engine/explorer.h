@@ -98,18 +98,6 @@ class Explorer {
     /// Level mode only: number of completed level barriers (the depth
     /// of the deepest fully-reduced frontier).
     size_t levels_completed = 0;
-    /// Visited-set accounting, filled in by the owning search (the
-    /// explorer itself holds no visited table): bytes retained by the
-    /// visited structure at the end of the run — full-entry deep sizes
-    /// under VisitedMode::kExact, fixed-size index slots under
-    /// kCompact. Deterministic at every worker count whenever the
-    /// search itself is (the entry set is schedule-independent; only
-    /// transient peaks are not).
-    size_t visited_bytes = 0;
-    /// Distinct store::TreeDb nodes interned (kCompact only; 0 under
-    /// kExact). The tree-compression denominator: visited_bytes +
-    /// treedb arena vs. the exact mode's footprint.
-    size_t treedb_nodes = 0;
   };
 
   class Context;

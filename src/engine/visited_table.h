@@ -92,7 +92,8 @@ class ShardedVisitedTable {
             ++kept;
           }
         }
-        bucket.resize(kept);
+        bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(kept),
+                     bucket.end());
         bucket.push_back(std::move(entry));
       }
     }

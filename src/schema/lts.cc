@@ -252,8 +252,7 @@ namespace {
 /// ref the seen-set stores.
 struct LtsNode {
   Instance config;
-  std::vector<store::TreeRef> rel_refs;
-  store::TreeRef config_ref = store::kNilTreeRef;
+  store::ConfigRefs refs;
 };
 
 }  // namespace
@@ -308,13 +307,11 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
   auto root = std::make_unique<LtsNode>();
   root->config = initial;
   if (compact) {
-    root->rel_refs.resize(schema.num_relations());
-    for (RelationId r = 0; r < schema.num_relations(); ++r) {
-      const std::vector<store::FactId>& ids = initial.facts(r)->ids();
-      root->rel_refs[r] = compact->treedb.SetFromKeys(ids.data(), ids.size());
-    }
-    root->config_ref = compact->treedb.InternTuple(root->rel_refs.data(),
-                                                   root->rel_refs.size());
+    root->refs = store::FoldConfigRefs(
+        &compact->treedb, schema.num_relations(),
+        [&](size_t r) -> const std::vector<store::FactId>& {
+          return initial.facts(static_cast<RelationId>(r))->ids();
+        });
   }
   if (max_depth == 0) {
     report_memory();
@@ -333,7 +330,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
   auto equal = [](const Instance& a, const Instance& b) { return a == b; };
   size_t seen_count = 1;
   if (compact) {
-    compact->seen.Insert(root->config_ref);
+    compact->seen.Insert(root->refs.config_ref);
   } else {
     seen.CheckAndInsert(initial.hash(), initial, equal);
   }
@@ -367,22 +364,9 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         for (Transition& t : succ) {
           auto child = std::make_unique<LtsNode>();
           if (compact) {
-            // Delta extension: only the accessed relation's set ref
-            // moves, then the O(log R) tuple spine re-interns — the
-            // unchanged relations' subtrees are shared with the parent.
-            RelationId rel = schema.method(t.access.method).relation;
-            child->rel_refs = node->rel_refs;
-            store::TreeRef set = child->rel_refs[rel];
-            for (store::FactId f : t.response_ids) {
-              set = compact->treedb.InsertSet(set, f);
-            }
-            if (set != node->rel_refs[rel]) {
-              child->rel_refs[rel] = set;
-              child->config_ref = compact->treedb.UpdateTuple(
-                  node->config_ref, child->rel_refs.size(), rel, set);
-            } else {
-              child->config_ref = node->config_ref;
-            }
+            child->refs = store::ExtendConfigRefs(
+                &compact->treedb, node->refs,
+                schema.method(t.access.method).relation, t.response_ids);
           }
           child->config = std::move(t.post);
           ctx.Emit(std::move(child));
@@ -421,7 +405,7 @@ std::vector<LtsLevelStats> ExploreBreadthFirst(const Schema& schema,
         std::vector<std::unique_ptr<LtsNode>> next;
         for (std::unique_ptr<LtsNode>& child : children) {
           bool already =
-              compact ? !compact->seen.Insert(child->config_ref)
+              compact ? !compact->seen.Insert(child->refs.config_ref)
                       : seen.CheckAndInsert(child->config.hash(),
                                             child->config, equal);
           if (already) {

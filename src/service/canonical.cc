@@ -37,7 +37,6 @@ std::string CanonicalOptionsKey(const PrepareOptions& o) {
   KeyField(&key, "b.exact", o.bounded.require_exact ? 1 : 0);
   KeyField(&key, "b.max_nodes", o.bounded.max_nodes);
   KeyField(&key, "b.max_real", o.bounded.max_realizations_per_step);
-  KeyField(&key, "b.dedup", o.bounded.use_visited_dedup ? 1 : 0);
   KeyField(&key, "d.max_variants", o.decompose.max_variants);
   KeyField(&key, "d.max_phi", o.decompose.max_phi);
   KeyField(&key, "d.max_stages", o.decompose.max_stages);

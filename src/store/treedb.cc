@@ -149,5 +149,21 @@ void TreeDb::Clear() {
   next_ref_.store(1, std::memory_order_release);
 }
 
+ConfigRefs ExtendConfigRefs(TreeDb* db, const ConfigRefs& parent, size_t rel,
+                            const std::vector<FactId>& response) {
+  ConfigRefs refs;
+  refs.rel_refs = parent.rel_refs;
+  TreeRef set = refs.rel_refs[rel];
+  for (FactId f : response) set = db->InsertSet(set, f);
+  if (set != parent.rel_refs[rel]) {
+    refs.rel_refs[rel] = set;
+    refs.config_ref = db->UpdateTuple(parent.config_ref, refs.rel_refs.size(),
+                                      rel, set);
+  } else {
+    refs.config_ref = parent.config_ref;
+  }
+  return refs;
+}
+
 }  // namespace store
 }  // namespace accltl

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "src/store/fact_store.h"
 #include "src/store/stable_vector.h"
@@ -159,6 +160,41 @@ class TreeDb {
   std::atomic<uint32_t> next_ref_{1};  // 0 = kNilTreeRef
   StableVector<Node> nodes_;
 };
+
+/// A configuration's tree-compressed identity: one set ref per
+/// relation over its fact ids, and the tuple fold of those refs. Ref
+/// equality of `config_ref` is configuration equality. The searches
+/// and the LTS explorer keep the per-relation refs on each node so a
+/// child derives its identity as a delta (ExtendConfigRefs) instead of
+/// re-encoding its whole configuration.
+struct ConfigRefs {
+  std::vector<TreeRef> rel_refs;
+  TreeRef config_ref = kNilTreeRef;
+};
+
+/// Folds a configuration of `num_relations` relations into `db`;
+/// `ids_of(r)` returns relation r's fact ids as a
+/// `const std::vector<FactId>&`.
+template <typename IdsOf>
+ConfigRefs FoldConfigRefs(TreeDb* db, size_t num_relations,
+                          const IdsOf& ids_of) {
+  ConfigRefs refs;
+  refs.rel_refs.resize(num_relations);
+  for (size_t r = 0; r < num_relations; ++r) {
+    const std::vector<FactId>& ids = ids_of(r);
+    refs.rel_refs[r] = db->SetFromKeys(ids.data(), ids.size());
+  }
+  refs.config_ref = db->InternTuple(refs.rel_refs.data(), num_relations);
+  return refs;
+}
+
+/// The refs of `parent` with `response` added to relation `rel`: only
+/// that relation's set ref moves, then the O(log R) tuple spine
+/// re-interns; the unchanged relations' subtrees are shared with the
+/// parent. A response already contained in the parent leaves the
+/// configuration ref as it is.
+ConfigRefs ExtendConfigRefs(TreeDb* db, const ConfigRefs& parent, size_t rel,
+                            const std::vector<FactId>& response);
 
 }  // namespace store
 }  // namespace accltl

@@ -662,24 +662,42 @@ DiffOutcome RunCompactPair(const FuzzCase& c) {
   if (exact.value().cancelled) return Skip();
   std::string expected = DecisionKey(exact.value(), c.schema);
 
-  // kCompact at 1/2/8 workers. Same budget_edge carve-out as the
-  // service pair (a binding max_nodes is spent on different node
-  // orders per traversal discipline). On top of the DecisionKey,
-  // visited_bytes must agree ACROSS the compact runs: logical live
-  // bytes are a function of the deduplicated node set, which the
-  // engines promise is schedule-independent.
+  // kCompact at 1/2/8 workers, kExact again at 2/8. Same budget_edge
+  // carve-out as the service pair (a binding max_nodes is spent on
+  // different node orders per traversal discipline). On top of the
+  // DecisionKey, visited_bytes must agree ACROSS the runs of one mode:
+  // logical live bytes are a function of the deduplicated node set,
+  // which the engines promise is schedule-independent.
   bool budget_edge = exact.value().exhausted_budget;
   size_t compact_bytes = 0;
   size_t compact_nodes = 0;
   bool have_bytes = false;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    analysis::DecideOptions copts = OneShotOptions(c);
-    engine::CancelToken deadline;
-    copts.exec = GuardedExec(&deadline);
-    copts.exec.num_threads = threads;
-    copts.exec.visited_mode = engine::VisitedMode::kCompact;
-    Result<analysis::Decision> compact =
-        analysis::DecideSatisfiability(c.formula, c.schema, copts);
+    auto decide = [&](engine::VisitedMode mode) {
+      analysis::DecideOptions opts = OneShotOptions(c);
+      engine::CancelToken deadline;
+      opts.exec = GuardedExec(&deadline);
+      opts.exec.num_threads = threads;
+      opts.exec.visited_mode = mode;
+      return analysis::DecideSatisfiability(c.formula, c.schema, opts);
+    };
+    if (threads > 1) {
+      Result<analysis::Decision> again = decide(engine::VisitedMode::kExact);
+      if (!again.ok()) {
+        return Diverge("exact-mode decide failed at " +
+                       std::to_string(threads) +
+                       " threads: " + again.status().ToString());
+      }
+      if (again.value().cancelled) return Skip();
+      if (!budget_edge && !again.value().exhausted_budget &&
+          again.value().visited_bytes != exact.value().visited_bytes) {
+        return Diverge("exact visited_bytes differ across worker counts: " +
+                       std::to_string(exact.value().visited_bytes) +
+                       "B vs " + std::to_string(again.value().visited_bytes) +
+                       "B at " + std::to_string(threads) + " threads");
+      }
+    }
+    Result<analysis::Decision> compact = decide(engine::VisitedMode::kCompact);
     if (!compact.ok()) {
       return Diverge("compact-mode decide failed at " +
                      std::to_string(threads) +

@@ -40,7 +40,8 @@ namespace testing {
 ///   compact          VisitedMode::kCompact (tree-compressed visited
 ///                    storage, 1/2/8 threads) vs kExact: byte-identical
 ///                    verdicts, witnesses and node counts, plus
-///                    worker-count-invariant compact memory statistics.
+///                    worker-count-invariant memory statistics in both
+///                    modes (exact visited_bytes at 1/2/8 threads).
 ///   rename           Relation/method renaming and injective constant
 ///                    renaming never change the verdict.
 ///   budget           A search that finishes under a small node budget

@@ -95,7 +95,6 @@ TEST_F(CanonicalKeyTest, OptionsKeyFieldOrderIsPinned) {
   o.bounded.require_exact = true;
   o.bounded.max_nodes = 22;
   o.bounded.max_realizations_per_step = 23;
-  o.bounded.use_visited_dedup = false;
   o.decompose.max_variants = 31;
   o.decompose.max_phi = 32;
   o.decompose.max_stages = 33;
@@ -104,7 +103,7 @@ TEST_F(CanonicalKeyTest, OptionsKeyFieldOrderIsPinned) {
             "z.grounded=0;z.idem=1;z.max_nodes=11;z.max_facts=12;"
             "z.max_len=13;z.max_subsets=14;"
             "b.max_len=21;b.grounded=1;b.idem=0;b.exact=1;b.max_nodes=22;"
-            "b.max_real=23;b.dedup=0;"
+            "b.max_real=23;"
             "d.max_variants=31;d.max_phi=32;d.max_stages=33;");
 }
 

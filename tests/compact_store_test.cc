@@ -116,6 +116,32 @@ TEST(TreeDbTest, TuplesUpdateAlongTheSpine) {
   EXPECT_EQ(db.num_nodes(), 0u);
 }
 
+TEST(TreeDbTest, ExtendedConfigRefsEqualTheFoldOfTheChild) {
+  store::TreeDb db;
+  // Three relations; the child adds {4, 9} to relation 1, one of which
+  // the parent already holds.
+  std::vector<std::vector<store::FactId>> parent = {{1, 2}, {9}, {}};
+  std::vector<std::vector<store::FactId>> child = {{1, 2}, {4, 9}, {}};
+  auto fold = [&](const std::vector<std::vector<store::FactId>>& config) {
+    return store::FoldConfigRefs(
+        &db, config.size(),
+        [&](size_t r) -> const std::vector<store::FactId>& {
+          return config[r];
+        });
+  };
+  store::ConfigRefs from_parent = fold(parent);
+  store::ConfigRefs extended =
+      store::ExtendConfigRefs(&db, from_parent, 1, {9, 4});
+  store::ConfigRefs folded = fold(child);
+  EXPECT_EQ(extended.rel_refs, folded.rel_refs);
+  EXPECT_EQ(extended.config_ref, folded.config_ref);
+  EXPECT_NE(extended.config_ref, from_parent.config_ref);
+  // A response the configuration already holds leaves it unchanged.
+  store::ConfigRefs same = store::ExtendConfigRefs(&db, extended, 1, {4});
+  EXPECT_EQ(same.config_ref, extended.config_ref);
+  EXPECT_EQ(same.rel_refs, extended.rel_refs);
+}
+
 TEST(TreeDbTest, ConcurrentInterningIsCanonical) {
   store::TreeDb db;
   // 64 distinct key sets, every thread interns all of them in its own
@@ -440,6 +466,96 @@ TEST_F(VisitedModeTest, ZeroSolverModesAgree) {
     } else {
       EXPECT_EQ(r.value().visited_bytes, compact_bytes)
           << threads << " threads";
+    }
+  }
+}
+
+// The zero solver's byte-budget cut points, pinned in both modes (the
+// witness search's are covered above). One worker cuts at a pop, so
+// the serial search stops mid-level; two and eight workers cut at a
+// level barrier, after the reduction has registered the whole level,
+// and agree with each other.
+TEST_F(VisitedModeTest, ZeroSolverMemoryBudgetCutsArePinned) {
+  std::string text = "F [";
+  for (int i = 0; i < 20; ++i) {
+    if (i > 0) text += " OR ";
+    text += "Mobile_post(\"n" + std::to_string(i) + "\",\"p\",\"s\",1)";
+  }
+  text += "] AND F ([IsBind_AcM1()] AND [IsBind_AcM2()])";
+  acc::AccPtr f = acc::ParseAccFormula(text, pd_.schema).value();
+  analysis::ZeroSolverOptions opts;
+  opts.max_path_length = 3;
+  struct Pin {
+    engine::VisitedMode mode;
+    size_t uncapped_bytes;
+    size_t serial_nodes, serial_bytes;
+    size_t level_nodes, level_bytes;
+  };
+  const Pin kPins[] = {
+      {engine::VisitedMode::kExact, 149536, 311, 38200, 469, 149536},
+      {engine::VisitedMode::kCompact, 97328, 311, 24968, 469, 97328},
+  };
+  for (const Pin& pin : kPins) {
+    engine::ExecOptions exec;
+    exec.visited_mode = pin.mode;
+    Result<analysis::ZeroSolverResult> uncapped =
+        analysis::CheckZeroArySatisfiable(f, pd_.schema, opts, exec);
+    ASSERT_TRUE(uncapped.ok());
+    ASSERT_FALSE(uncapped.value().exhausted_budget);
+    EXPECT_EQ(uncapped.value().visited_bytes, pin.uncapped_bytes);
+    exec.max_visited_bytes = uncapped.value().visited_bytes / 4;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      exec.num_threads = threads;
+      Result<analysis::ZeroSolverResult> r =
+          analysis::CheckZeroArySatisfiable(f, pd_.schema, opts, exec);
+      ASSERT_TRUE(r.ok());
+      EXPECT_FALSE(r.value().satisfiable);
+      EXPECT_TRUE(r.value().exhausted_budget) << threads << " threads";
+      EXPECT_EQ(r.value().nodes_explored,
+                threads == 1 ? pin.serial_nodes : pin.level_nodes)
+          << threads << " threads";
+      EXPECT_EQ(r.value().visited_bytes,
+                threads == 1 ? pin.serial_bytes : pin.level_bytes)
+          << threads << " threads";
+    }
+  }
+}
+
+// The LTS explorer's byte-budget cut, pinned in both modes: a cap of a
+// quarter of the depth-2 footprint stops a depth-3 exploration at the
+// level-2 barrier, which is flagged `truncated`, at every worker count.
+TEST_F(VisitedModeTest, LtsMemoryBudgetCutIsPinned) {
+  Rng rng(7);
+  schema::LtsOptions opts;
+  opts.universe = workload::MakePhoneUniverse(pd_, &rng, 16);
+  opts.seed_values = {Value::Str("Smith")};
+  // (distinct configurations, transitions, max facts, truncated).
+  const std::vector<std::vector<size_t>> kLevels = {
+      {1, 0, 0, 0}, {40, 1032, 2, 0}, {765, 41280, 4, 1}};
+  for (engine::VisitedMode mode :
+       {engine::VisitedMode::kExact, engine::VisitedMode::kCompact}) {
+    engine::ExecOptions exec;
+    exec.visited_mode = mode;
+    schema::LtsMemoryStats depth2;
+    schema::ExploreBreadthFirst(pd_.schema, schema::Instance(pd_.schema),
+                                opts, /*max_depth=*/2, /*max_nodes=*/100000,
+                                exec, &depth2);
+    exec.max_visited_bytes = depth2.visited_bytes / 4;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      exec.num_threads = threads;
+      std::vector<schema::LtsLevelStats> stats = schema::ExploreBreadthFirst(
+          pd_.schema, schema::Instance(pd_.schema), opts, /*max_depth=*/3,
+          /*max_nodes=*/100000, exec);
+      ASSERT_EQ(stats.size(), kLevels.size()) << threads << " threads";
+      EXPECT_TRUE(stats.back().truncated) << threads << " threads";
+      for (size_t i = 0; i < stats.size(); ++i) {
+        std::vector<size_t> got = {stats[i].distinct_configurations,
+                                   stats[i].transitions,
+                                   stats[i].max_configuration_facts,
+                                   stats[i].truncated ? 1u : 0u};
+        EXPECT_EQ(got, kLevels[i]) << "level " << i << ", " << threads
+                                   << " threads";
+      }
     }
   }
 }

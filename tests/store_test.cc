@@ -469,19 +469,16 @@ TEST_F(StoreInstanceTest, WitnessSearchDedupReducesNodesExplored) {
   automata::AAutomaton a =
       automata::CompileToAutomaton(f, pd_.schema).value();
 
-  automata::WitnessSearchOptions with_dedup;
-  with_dedup.max_path_length = 3;
-  automata::WitnessSearchOptions no_dedup = with_dedup;
-  no_dedup.use_visited_dedup = false;
+  automata::WitnessSearchOptions opts;
+  opts.max_path_length = 3;
 
-  automata::WitnessSearchResult r1 = automata::BoundedWitnessSearch(
-      a, pd_.schema, schema::Instance(pd_.schema), with_dedup);
-  automata::WitnessSearchResult r2 = automata::BoundedWitnessSearch(
-      a, pd_.schema, schema::Instance(pd_.schema), no_dedup);
-  EXPECT_EQ(r1.found, r2.found);
-  EXPECT_FALSE(r1.found);
-  EXPECT_LT(r1.nodes_explored, r2.nodes_explored)
-      << "dedup must strictly reduce nodes explored on the diamond";
+  automata::WitnessSearchResult r = automata::BoundedWitnessSearch(
+      a, pd_.schema, schema::Instance(pd_.schema), opts);
+  EXPECT_FALSE(r.found);
+  // Pinned with the visited table on. The same search without it
+  // explored 55743 nodes, about ten times as many.
+  EXPECT_EQ(r.nodes_explored, 5620u)
+      << "visited dedup must keep collapsing the diamond";
 }
 
 TEST_F(StoreInstanceTest, RealizationCapSetsExhaustedBudget) {
