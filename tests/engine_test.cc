@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "src/common/rng.h"
 #include "src/engine/explorer.h"
 #include "src/engine/thread_pool.h"
+#include "src/engine/two_phase.h"
 #include "src/engine/visited_table.h"
 #include "src/engine/work_deque.h"
 #include "src/logic/parser.h"
@@ -106,6 +109,307 @@ TEST(WorkDequeTest, ConcurrentStealsConserveItems) {
   for (int i = 0; i < kItems; ++i) {
     EXPECT_EQ(taken[static_cast<size_t>(i)].load(), 1) << "item " << i;
   }
+}
+
+// --- Explorer ----------------------------------------------------------------
+
+// A node of one of several synthetic complete ternary trees, heap
+// numbered per tree: root r has id r * kTreeSpan, and the node with id
+// r * kTreeSpan + h has children r * kTreeSpan + 3h + {1, 2, 3}. The
+// live count lets every case check that no node leaks, whatever
+// stopped the traversal.
+struct TreeNode {
+  static std::atomic<int> live;
+  TreeNode(int id_in, int depth_in) : id(id_in), depth(depth_in) {
+    live.fetch_add(1);
+  }
+  ~TreeNode() { live.fetch_sub(1); }
+  TreeNode(const TreeNode&) = delete;
+  TreeNode& operator=(const TreeNode&) = delete;
+  int id;
+  int depth;
+};
+std::atomic<int> TreeNode::live{0};
+
+using TreeExplorer = engine::Explorer<TreeNode>;
+constexpr int kTreeFanout = 3;
+constexpr int kTreeSpan = 1 << 20;  // more nodes than any tree here has
+
+std::vector<std::unique_ptr<TreeNode>> TreeRoots(int count) {
+  std::vector<std::unique_ptr<TreeNode>> roots;
+  for (int i = 0; i < count; ++i) {
+    roots.push_back(std::make_unique<TreeNode>(i * kTreeSpan, 0));
+  }
+  return roots;
+}
+
+int ChildId(const TreeNode& node, int k) {
+  int heap = node.id % kTreeSpan;
+  return node.id - heap + heap * kTreeFanout + k + 1;
+}
+
+// The serial traversal through the engines' driver at one worker:
+// TwoPhaseExplore then runs exactly one serial depth-first search and
+// returns its stats unchanged.
+template <typename Visit>
+TreeExplorer::Stats SerialTreeRun(int roots, size_t max_nodes,
+                                  const engine::CancelToken* cancel,
+                                  const Visit& visit) {
+  engine::ExecOptions exec;
+  exec.num_threads = 1;
+  exec.cancel = cancel;
+  return engine::TwoPhaseExplore<TreeNode>(
+      exec, max_nodes, [&] { return TreeRoots(roots); }, visit,
+      [](std::unique_ptr<TreeNode>, TreeExplorer::Context&) {
+        ADD_FAILURE() << "one worker never sweeps";
+      },
+      [](std::vector<std::vector<TreeNode*>>) {
+        return std::vector<std::unique_ptr<TreeNode>>();
+      },
+      [] { return false; }, [] {});
+}
+
+// Reference order of the serial search: a preorder walk whose
+// children come in reverse push order, roots included.
+void LifoPreorder(int id, int depth, int max_depth, std::vector<int>* out) {
+  out->push_back(id);
+  if (depth == max_depth) return;
+  TreeNode probe(id, depth);
+  for (int k = kTreeFanout - 1; k >= 0; --k) {
+    LifoPreorder(ChildId(probe, k), depth + 1, max_depth, out);
+  }
+}
+
+TEST(ExplorerTest, SerialPopOrderIsLifoOfPushOrder) {
+  constexpr int kDepth = 4;
+  std::vector<int> visited;
+  TreeExplorer::Stats stats = SerialTreeRun(
+      2, static_cast<size_t>(-1), nullptr,
+      [&](std::unique_ptr<TreeNode> node, TreeExplorer::Context& ctx) {
+        visited.push_back(node->id);
+        if (node->depth == kDepth) return;
+        for (int k = 0; k < kTreeFanout; ++k) {
+          ctx.Push(std::make_unique<TreeNode>(ChildId(*node, k),
+                                              node->depth + 1));
+        }
+      });
+  std::vector<int> expected;
+  for (int root = 1; root >= 0; --root) {
+    LifoPreorder(root * kTreeSpan, 0, kDepth, &expected);
+  }
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(stats.nodes_explored, expected.size());
+  EXPECT_FALSE(stats.budget_exhausted);
+  EXPECT_FALSE(stats.aborted);
+  EXPECT_FALSE(stats.cancelled);
+  EXPECT_EQ(TreeNode::live.load(), 0);
+}
+
+TEST(ExplorerTest, BudgetCutCountsThenCutsWithoutVisiting) {
+  constexpr int kDepth = 4;
+  constexpr size_t kBudget = 10;
+  std::vector<int> visited;
+  TreeExplorer::Stats stats = SerialTreeRun(
+      1, kBudget, nullptr,
+      [&](std::unique_ptr<TreeNode> node, TreeExplorer::Context& ctx) {
+        visited.push_back(node->id);
+        if (node->depth == kDepth) return;
+        for (int k = 0; k < kTreeFanout; ++k) {
+          ctx.Push(std::make_unique<TreeNode>(ChildId(*node, k),
+                                              node->depth + 1));
+        }
+      });
+  std::vector<int> full;
+  LifoPreorder(0, 0, kDepth, &full);
+  // The budget-exceeding pop is counted, not visited.
+  EXPECT_EQ(stats.nodes_explored, kBudget + 1);
+  EXPECT_TRUE(stats.budget_exhausted);
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_FALSE(stats.cancelled);
+  EXPECT_EQ(visited, std::vector<int>(full.begin(), full.begin() + kBudget));
+  EXPECT_EQ(TreeNode::live.load(), 0);
+}
+
+TEST(ExplorerTest, PreFiredTokenCancelsBeforeAnyVisit) {
+  engine::CancelToken token;
+  token.Cancel();
+  size_t visits = 0;
+  TreeExplorer::Stats stats = SerialTreeRun(
+      3, static_cast<size_t>(-1), &token,
+      [&](std::unique_ptr<TreeNode>, TreeExplorer::Context&) { ++visits; });
+  EXPECT_EQ(visits, 0u);
+  EXPECT_EQ(stats.nodes_explored, 0u);
+  EXPECT_TRUE(stats.cancelled);
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_EQ(TreeNode::live.load(), 0);
+}
+
+// The serial pilot's cut pop counts against the caller's budget, and the
+// level sweep gets what remains.
+TEST(ExplorerTest, PilotCutPopCountsAgainstTheSweepBudget) {
+  constexpr int kDepth = 6;  // 1093 nodes, more than the pilot's 256
+  constexpr size_t kBudget = 400;
+  constexpr size_t kWorkers = 2;
+  size_t resets = 0;
+  size_t pilot_visits = 0;
+  std::atomic<size_t> sweep_visits{0};
+  engine::ExecOptions exec;
+  exec.num_threads = kWorkers;
+  auto expand = [&](const TreeNode& node, auto emit) {
+    if (node.depth == kDepth) return;
+    for (int k = 0; k < kTreeFanout; ++k) {
+      emit(std::make_unique<TreeNode>(ChildId(node, k), node.depth + 1));
+    }
+  };
+  TreeExplorer::Stats stats = engine::TwoPhaseExplore<TreeNode>(
+      exec, kBudget, [] { return TreeRoots(1); },
+      [&](std::unique_ptr<TreeNode> node, TreeExplorer::Context& ctx) {
+        ++pilot_visits;
+        expand(*node,
+               [&](std::unique_ptr<TreeNode> c) { ctx.Push(std::move(c)); });
+      },
+      [&](std::unique_ptr<TreeNode> node, TreeExplorer::Context& ctx) {
+        sweep_visits.fetch_add(1);
+        expand(*node,
+               [&](std::unique_ptr<TreeNode> c) { ctx.Emit(std::move(c)); });
+      },
+      [](std::vector<std::vector<TreeNode*>> batches) {
+        std::vector<std::unique_ptr<TreeNode>> next;
+        for (auto& batch : batches) {
+          for (TreeNode* child : batch) next.emplace_back(child);
+        }
+        return next;
+      },
+      [] { return false; }, [&] { ++resets; });
+  EXPECT_EQ(resets, 1u);
+  // Pilot: 256 visits plus its cut pop, 257 counted. The sweep's budget
+  // is 400 - 257 = 143 visits; each of its workers may count one pop
+  // past that before it sees the abort.
+  EXPECT_EQ(pilot_visits, 256u);
+  EXPECT_EQ(sweep_visits.load(), 143u);
+  EXPECT_GE(stats.nodes_explored, 257u + 144u);
+  EXPECT_LE(stats.nodes_explored, 257u + 143u + kWorkers);
+  EXPECT_TRUE(stats.budget_exhausted);
+  EXPECT_EQ(TreeNode::live.load(), 0);
+}
+
+// The reducer's view of one run: for each level, the sorted ids of the
+// children it was handed.
+struct LevelTrace {
+  std::vector<std::vector<int>> children_per_level;
+  TreeExplorer::Stats stats;
+};
+
+LevelTrace TraceLevels(size_t workers, int depth) {
+  LevelTrace trace;
+  TreeExplorer explorer;
+  TreeExplorer::Options opts;
+  opts.num_threads = workers;
+  trace.stats = explorer.RunLevels(
+      TreeRoots(2), opts,
+      [&](std::unique_ptr<TreeNode> node, TreeExplorer::Context& ctx) {
+        if (node->depth == depth) return;
+        for (int k = 0; k < kTreeFanout; ++k) {
+          ctx.Emit(std::make_unique<TreeNode>(ChildId(*node, k),
+                                              node->depth + 1));
+        }
+      },
+      [&](size_t level, std::vector<std::vector<TreeNode*>> batches) {
+        EXPECT_EQ(level, trace.children_per_level.size() + 1);
+        std::vector<int> ids;
+        std::vector<std::unique_ptr<TreeNode>> next;
+        for (auto& batch : batches) {
+          for (TreeNode* child : batch) {
+            ids.push_back(child->id);
+            next.emplace_back(child);
+          }
+        }
+        std::sort(ids.begin(), ids.end());
+        trace.children_per_level.push_back(std::move(ids));
+        return next;
+      });
+  return trace;
+}
+
+TEST(ExplorerTest, LevelSweepHandsTheSameChildrenAtEveryWorkerCount) {
+  constexpr int kDepth = 5;
+  LevelTrace serial = TraceLevels(1, kDepth);
+  // Levels 1..kDepth hold 2*3^level children; the leaves' level emits
+  // none, and that empty barrier ends the sweep.
+  ASSERT_EQ(serial.children_per_level.size(), static_cast<size_t>(kDepth + 1));
+  size_t width = 2;
+  for (int level = 0; level < kDepth; ++level) {
+    width *= kTreeFanout;
+    EXPECT_EQ(serial.children_per_level[static_cast<size_t>(level)].size(),
+              width);
+  }
+  EXPECT_TRUE(serial.children_per_level.back().empty());
+  EXPECT_EQ(serial.stats.levels_completed, static_cast<size_t>(kDepth + 1));
+  EXPECT_FALSE(serial.stats.aborted);
+  for (size_t workers : {size_t{2}, size_t{8}}) {
+    for (int round = 0; round < 3; ++round) {
+      LevelTrace parallel = TraceLevels(workers, kDepth);
+      EXPECT_EQ(parallel.children_per_level, serial.children_per_level)
+          << workers << " workers, round " << round;
+      EXPECT_EQ(parallel.stats.levels_completed,
+                serial.stats.levels_completed);
+      EXPECT_EQ(parallel.stats.nodes_explored, serial.stats.nodes_explored);
+      EXPECT_FALSE(parallel.stats.aborted);
+    }
+  }
+  EXPECT_EQ(TreeNode::live.load(), 0);
+}
+
+// Stops an 8-worker sweep from inside a level (at the k-th visit of the
+// whole run) and checks that every node is freed: the ones visited, the
+// children emitted so far and the frontier nobody claimed.
+void ExpectEightWorkerStopFreesEverything(bool via_token) {
+  constexpr int kDepth = 6;
+  constexpr int kStopAt = 500;  // inside level 5 (242 visits before it)
+  engine::CancelToken token;
+  std::atomic<int> visits{0};
+  TreeExplorer explorer;
+  TreeExplorer::Options opts;
+  opts.num_threads = 8;
+  opts.cancel = via_token ? &token : nullptr;
+  TreeExplorer::Stats stats = explorer.RunLevels(
+      TreeRoots(2), opts,
+      [&](std::unique_ptr<TreeNode> node, TreeExplorer::Context& ctx) {
+        if (visits.fetch_add(1) + 1 == kStopAt) {
+          if (via_token) {
+            token.Cancel();
+          } else {
+            ctx.Abort();
+          }
+        }
+        if (node->depth == kDepth) return;
+        for (int k = 0; k < kTreeFanout; ++k) {
+          ctx.Emit(std::make_unique<TreeNode>(ChildId(*node, k),
+                                              node->depth + 1));
+        }
+      },
+      [](std::vector<std::vector<TreeNode*>> batches) {
+        std::vector<std::unique_ptr<TreeNode>> next;
+        for (auto& batch : batches) {
+          for (TreeNode* child : batch) next.emplace_back(child);
+        }
+        return next;
+      });
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_EQ(stats.cancelled, via_token);
+  EXPECT_FALSE(stats.budget_exhausted);
+  EXPECT_EQ(stats.levels_completed, 5u);
+  EXPECT_GE(visits.load(), kStopAt);
+  EXPECT_LT(visits.load(), 2 + 6 + 18 + 54 + 162 + 486);
+  EXPECT_EQ(TreeNode::live.load(), 0);
+}
+
+TEST(ExplorerTest, AbortMidLevelAtEightWorkersLeavesNoLiveNodes) {
+  ExpectEightWorkerStopFreesEverything(/*via_token=*/false);
+}
+
+TEST(ExplorerTest, TokenFiredMidLevelAtEightWorkersLeavesNoLiveNodes) {
+  ExpectEightWorkerStopFreesEverything(/*via_token=*/true);
 }
 
 // --- Thread pool -------------------------------------------------------------
