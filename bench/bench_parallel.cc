@@ -403,9 +403,10 @@ BENCHMARK(BM_ParallelBoundedWitnessSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// LTS breadth-first exploration over a seeded phone universe: whole
-// levels expand through the work-stealing deques and reduce at the
-// barrier; the per-level stats are identical at every thread count.
+// LTS breadth-first exploration over a seeded phone universe: the
+// workers claim each level's nodes through one shared cursor and the
+// level reduces at the barrier; the per-level stats are identical at
+// every thread count.
 void BM_ParallelLtsExplore(benchmark::State& state) {
   workload::PhoneDirectory pd = workload::MakePhoneDirectory();
   Rng rng(7);

@@ -7,13 +7,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "src/engine/cancel.h"
 #include "src/engine/thread_pool.h"
-#include "src/engine/work_deque.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -27,63 +25,50 @@ namespace internal {
 /// contract in DESIGN.md §8.
 struct ExplorerMetrics {
   obs::Counter* pops;
-  obs::Counter* steals;
   obs::Counter* levels;
   obs::Counter* idle_wait_us;
-  obs::Histogram* deque_depth;
   static const ExplorerMetrics& Get() {
     static const ExplorerMetrics m{
         obs::Registry::Get().counter("engine.pops"),
-        obs::Registry::Get().counter("engine.steals"),
         obs::Registry::Get().counter("engine.levels"),
         obs::Registry::Get().counter("engine.idle_wait_us"),
-        obs::Registry::Get().histogram("engine.deque_depth"),
     };
     return m;
   }
 };
 }  // namespace internal
 
-/// Generic parallel state-space exploration driver with two traversal
-/// disciplines over the same worker/deque substrate.
+/// Generic state-space exploration driver with two traversals.
 ///
-/// `Run` is free-running: each worker depth-firsts its own Chase-Lev
-/// deque (LIFO) and steals the oldest node from a sibling when idle.
-/// With one worker this is exactly a deterministic depth-first search;
-/// with several, the visit order is schedule-dependent — callers whose
-/// result must not depend on scheduling use `RunLevels`.
+/// `Run` is a serial depth-first search over a plain stack: the node
+/// pushed last is popped next, so a visitor that pushes its children
+/// in descending key order visits the smallest first.
 ///
 /// `RunLevels` is level-synchronous (the discipline of multi-core BFS
-/// reachability à la LTSmin): workers consume one depth level from the
-/// work-stealing deques in any order, children are collected
-/// per-worker, and a caller-supplied `reduce` runs at the barrier over
+/// reachability à la LTSmin): workers claim the nodes of one depth
+/// level through a shared cursor, in any order, children are collected
+/// per worker, and a caller-supplied `reduce` runs at the barrier over
 /// the *complete* child set — so deduplication and result reduction
 /// see the same deterministic batch whatever the schedule, and the
 /// surviving frontier (hence every per-level statistic) is identical
 /// at every worker count.
 ///
-/// Budget (both modes): pops are counted in one atomic; the pop that
-/// exceeds `max_nodes` is counted, not visited, and aborts the
-/// exploration — the same "count, then cut" semantics the serial
-/// searches use, now enforced globally across workers.
-///
-/// Termination of `Run`: an atomic pending-node count (incremented
-/// before a push becomes visible, decremented after its visit
-/// completes) lets idle workers distinguish "no work anywhere" from
-/// "work in flight". `RunLevels` terminates a level when its processed
-/// count reaches the level size.
+/// Budget (both traversals): pops are counted; the pop that exceeds
+/// `max_nodes` is counted, not visited, and stops the exploration —
+/// "count, then cut". A fired cancel token stops it at the same
+/// points (before each pop).
 template <typename Node>
 class Explorer {
  public:
+  /// RunLevels' options.
   struct Options {
     size_t num_threads = 1;
     /// Budget over popped nodes; exceeding it aborts with
     /// budget_exhausted set.
     size_t max_nodes = static_cast<size_t>(-1);
-    /// Cooperative stop, polled at the same count-then-cut points as
-    /// the budget (before each pop). A token that never fires never
-    /// perturbs the exploration (the poll is read-only); a fired token
-    /// aborts all workers and sets Stats::cancelled.
+    /// Cooperative stop, polled before each pop. A token that never
+    /// fires never perturbs the exploration (the poll is read-only); a
+    /// fired token aborts all workers and sets Stats::cancelled.
     const CancelToken* cancel = nullptr;
   };
 
@@ -93,7 +78,7 @@ class Explorer {
     /// True when the exploration stopped on abort (budget, visitor, or
     /// cancellation) rather than by draining the frontier.
     bool aborted = false;
-    /// True when Options::cancel fired and stopped the exploration.
+    /// True when the cancel token fired and stopped the exploration.
     bool cancelled = false;
     /// Level mode only: number of completed level barriers (the depth
     /// of the deepest fully-reduced frontier).
@@ -102,15 +87,41 @@ class Explorer {
 
   class Context;
 
-  /// Level-synchronous exploration. Per level: workers drain the
-  /// frontier through the work-stealing deques, calling
-  /// `visit(std::unique_ptr<Node>, Context&)` which emits children via
-  /// Context::Emit; at the barrier, `reduce` maps the per-worker child
-  /// batches (ownership transferred as raw pointers, one vector per
-  /// worker so the reducer can preserve allocation affinity) to the
-  /// next frontier — dedup, pruning, reordering are the caller's
-  /// policy. `reduce` runs on the calling thread between levels and
-  /// may itself use the thread pool.
+  /// Serial depth-first exploration from `roots` (the last root is
+  /// popped first). `visit(std::unique_ptr<Node>, Context&)` pushes
+  /// children with Context::Push. `max_nodes` and `cancel` are as in
+  /// Options.
+  template <typename Visit>
+  Stats Run(std::vector<std::unique_ptr<Node>> roots, size_t max_nodes,
+            const CancelToken* cancel, const Visit& visit) {
+    const internal::ExplorerMetrics& metrics = internal::ExplorerMetrics::Get();
+    obs::SetThreadLane("worker", 0);
+    obs::Span drain_span("drain", 0);
+    Shared shared(cancel);
+    shared.nodes = std::move(roots);
+    Context ctx(&shared, 0);
+    while (!shared.Stopped() && !shared.nodes.empty()) {
+      std::unique_ptr<Node> node = std::move(shared.nodes.back());
+      shared.nodes.pop_back();
+      metrics.pops->Inc();
+      if (++shared.popped > max_nodes) {
+        // Counted but not visited — "count, then cut".
+        shared.CutBudget();
+        break;
+      }
+      visit(std::move(node), ctx);
+    }
+    return shared.SnapshotStats();
+  }
+
+  /// Level-synchronous exploration. Per level: workers claim the
+  /// frontier's nodes, calling `visit(std::unique_ptr<Node>, Context&)`
+  /// which emits children via Context::Emit; at the barrier, `reduce`
+  /// maps the per-worker child batches (ownership transferred as raw
+  /// pointers, one vector per worker so the reducer can preserve
+  /// allocation affinity) to the next frontier — dedup, pruning,
+  /// reordering are the caller's policy. `reduce` runs on the calling
+  /// thread between levels and may itself use the thread pool.
   ///
   /// Per-level aggregation hook: a reducer may instead take
   /// `(size_t level, batches)` — `level` is the depth of the children
@@ -127,26 +138,35 @@ class Explorer {
     if (workers > 1) {
       workers = std::min(workers, ThreadPool::Global().size() + 1);
     }
-    Shared shared(workers, options.max_nodes, options.cancel);
-    std::vector<std::unique_ptr<Node>> frontier = std::move(roots);
+    Shared shared(options.cancel);
+    shared.nodes = std::move(roots);
+    shared.emitted.resize(workers);
+    shared.claim_failed.resize(workers);
+    auto level_worker = [&](size_t w) {
+      LevelWorker(w, &shared, options.max_nodes, visit);
+    };
     size_t level = 0;
-    while (!frontier.empty() &&
+    while (!shared.nodes.empty() &&
            !shared.abort.load(std::memory_order_acquire)) {
-      shared.level_size = frontier.size();
-      shared.processed.store(0, std::memory_order_relaxed);
-      for (auto& buffer : shared.emitted) buffer.clear();
+      shared.next.store(0, std::memory_order_relaxed);
+      std::fill(shared.claim_failed.begin(), shared.claim_failed.end(),
+                Clock::time_point());
       {
         obs::Span level_span("level", static_cast<int64_t>(level));
+        // One worker runs inline — a serial exploration never touches
+        // the pool. Otherwise the region's join is the level barrier.
         if (workers == 1) {
-          // Inline — a serial exploration never touches the pool.
-          LevelWorker(0, 1, &shared, &frontier, visit);
+          level_worker(0);
         } else {
-          ThreadPool::Global().Run(workers, [&](size_t w) {
-            LevelWorker(w, workers, &shared, &frontier, visit);
-          });
+          ThreadPool::Global().Run(workers, level_worker);
         }
       }
-      frontier.clear();
+      RecordBarrierWait(shared);
+      // Every claim inside the frontier was a pop.
+      shared.popped += std::min(shared.next.load(std::memory_order_relaxed),
+                                shared.nodes.size());
+      // Frees whatever an abort left unclaimed.
+      shared.nodes.clear();
       std::vector<std::vector<Node*>> batches(workers);
       for (size_t w = 0; w < workers; ++w) {
         batches[w].swap(shared.emitted[w]);
@@ -154,8 +174,7 @@ class Explorer {
       // The barrier poll: the reduce of a large level runs for
       // milliseconds with no pops, so check the token here too rather
       // than paying a whole reduce after the deadline fired.
-      shared.Cancelled();
-      if (shared.abort.load(std::memory_order_acquire)) {
+      if (shared.Stopped()) {
         for (auto& batch : batches) {
           for (Node* child : batch) delete child;
         }
@@ -166,84 +185,46 @@ class Explorer {
         obs::Span reduce_span("barrier-reduce", static_cast<int64_t>(level));
         if constexpr (std::is_invocable_v<Reduce, size_t,
                                           std::vector<std::vector<Node*>>>) {
-          frontier = reduce(level, std::move(batches));
+          shared.nodes = reduce(level, std::move(batches));
         } else {
-          frontier = reduce(std::move(batches));
+          shared.nodes = reduce(std::move(batches));
         }
       }
       internal::ExplorerMetrics::Get().levels->Inc();
-    }
-    // An abort can leave seeded nodes in the deques — free them
-    // (single-threaded again after the pool region).
-    Node* leftover = nullptr;
-    for (auto& deque : shared.deques) {
-      while (deque->Pop(&leftover)) delete leftover;
     }
     Stats stats = shared.SnapshotStats();
     stats.levels_completed = level;
     return stats;
   }
 
-  /// Explores from `roots`. `visit(std::unique_ptr<Node>, Context&)`
-  /// must be callable concurrently from `num_threads` workers.
-  template <typename Visit>
-  Stats Run(std::vector<std::unique_ptr<Node>> roots, const Options& options,
-            const Visit& visit) {
-    // The pool caps real parallelism at size() + 1; ask for more and
-    // the extra deques would never drain, so clamp here too (but do
-    // not touch the global pool for a serial exploration).
-    size_t workers = options.num_threads < 1 ? 1 : options.num_threads;
-    if (workers > 1) {
-      workers = std::min(workers, ThreadPool::Global().size() + 1);
-    }
-    Shared shared(workers, options.max_nodes, options.cancel);
-    // Seed round-robin. Owner-only push is fine here: the workers have
-    // not started, and starting them synchronizes-with these writes.
-    for (size_t i = 0; i < roots.size(); ++i) {
-      shared.pending.fetch_add(1, std::memory_order_relaxed);
-      shared.deques[i % workers]->Push(roots[i].release());
-    }
-    if (workers == 1) {
-      // Inline — a serial exploration never touches the pool.
-      WorkerLoop(0, 1, &shared, visit);
-    } else {
-      ThreadPool::Global().Run(workers, [&](size_t w) {
-        WorkerLoop(w, workers, &shared, visit);
-      });
-    }
-    // Drain whatever an abort left behind (single-threaded again).
-    Node* leftover = nullptr;
-    for (auto& deque : shared.deques) {
-      while (deque->Pop(&leftover)) delete leftover;
-    }
-    return shared.SnapshotStats();
-  }
-
  private:
-  struct Shared {
-    Shared(size_t workers, size_t max_nodes_in, const CancelToken* cancel_in)
-        : emitted(workers), max_nodes(max_nodes_in), cancel(cancel_in) {
-      deques.reserve(workers);
-      for (size_t i = 0; i < workers; ++i) {
-        deques.push_back(std::make_unique<WorkStealingDeque<Node*>>());
-      }
-    }
+  using Clock = std::chrono::steady_clock;
 
-    /// The per-pop cancellation poll: raises the shared abort (and the
-    /// cancelled stat) once the token fires. Read-only until then.
-    bool Cancelled() {
+  struct Shared {
+    explicit Shared(const CancelToken* cancel_in) : cancel(cancel_in) {}
+
+    /// The per-pop stop poll: true once the exploration is aborting.
+    /// Raises the abort (and the cancelled stat) when the token fires;
+    /// read-only until then.
+    bool Stopped() {
+      if (abort.load(std::memory_order_acquire)) return true;
       if (cancel == nullptr || !cancel->ShouldStop()) return false;
       cancelled.store(true, std::memory_order_relaxed);
       abort.store(true, std::memory_order_release);
       return true;
     }
 
-    /// The Stats fields both traversal modes read back identically
+    void CutBudget() {
+      budget_exhausted.store(true, std::memory_order_relaxed);
+      abort.store(true, std::memory_order_release);
+    }
+
+    /// The Stats fields both traversals read back identically
     /// (RunLevels adds levels_completed; the owning search fills the
     /// visited/treedb accounting).
     Stats SnapshotStats() const {
       Stats stats;
-      stats.nodes_explored = popped.load(std::memory_order_relaxed);
+      stats.nodes_explored = popped;
       stats.budget_exhausted =
           budget_exhausted.load(std::memory_order_relaxed);
       stats.aborted = abort.load(std::memory_order_relaxed);
@@ -251,16 +232,21 @@ class Explorer {
       return stats;
     }
 
-    std::vector<std::unique_ptr<WorkStealingDeque<Node*>>> deques;
-    std::atomic<size_t> pending{0};
-    std::atomic<size_t> popped{0};
-    std::atomic<size_t> processed{0};
+    /// Run: the stack. RunLevels: the level's frontier, fixed while
+    /// the level runs; each index is claimed (moved out) by exactly
+    /// one worker.
+    std::vector<std::unique_ptr<Node>> nodes;
+    std::atomic<size_t> next{0};  // RunLevels' claim cursor
+    /// Pops before the current level (written between levels only).
+    size_t popped = 0;
     std::atomic<bool> abort{false};
     std::atomic<bool> budget_exhausted{false};
     std::atomic<bool> cancelled{false};
-    std::vector<std::vector<Node*>> emitted;  // per worker, level mode
-    size_t level_size = 0;
-    size_t max_nodes;
+    /// RunLevels, per worker: the children it emitted, and when its
+    /// claim failed (unset if it stopped on abort; stamped only while
+    /// metrics are on).
+    std::vector<std::vector<Node*>> emitted;
+    std::vector<Clock::time_point> claim_failed;
     const CancelToken* cancel;
   };
 
@@ -269,13 +255,12 @@ class Explorer {
    public:
     size_t worker_id() const { return worker_; }
 
-    /// Free-running mode: emits a child node onto this worker's deque.
+    /// Run only: pushes a child onto the stack.
     void Push(std::unique_ptr<Node> child) {
-      shared_->pending.fetch_add(1, std::memory_order_release);
-      shared_->deques[worker_]->Push(child.release());
+      shared_->nodes.push_back(std::move(child));
     }
 
-    /// Level mode: collects a child for the barrier reduction.
+    /// RunLevels only: collects a child for the barrier reduction.
     void Emit(std::unique_ptr<Node> child) {
       shared_->emitted[worker_].push_back(child.release());
     }
@@ -287,10 +272,7 @@ class Explorer {
     /// token, so visitors that check mid-expansion (long realization
     /// enumerations) observe a deadline without waiting for the next
     /// pop — an unfired token still costs only a read.
-    bool aborted() const {
-      if (shared_->abort.load(std::memory_order_acquire)) return true;
-      return shared_->Cancelled();
-    }
+    bool aborted() const { return shared_->Stopped(); }
 
    private:
     friend class Explorer;
@@ -302,130 +284,40 @@ class Explorer {
 
  private:
   template <typename Visit>
-  static void WorkerLoop(size_t w, size_t workers, Shared* shared,
-                         const Visit& visit) {
-    const internal::ExplorerMetrics& metrics = internal::ExplorerMetrics::Get();
-    obs::SetThreadLane("worker", static_cast<int>(w));
-    obs::Span drain_span("drain", static_cast<int64_t>(w));
-    Context ctx(shared, w);
-    Node* raw = nullptr;
-    int idle_sweeps = 0;
-    for (;;) {
-      if (shared->abort.load(std::memory_order_acquire)) return;
-      if (shared->Cancelled()) return;
-      bool got = shared->deques[w]->Pop(&raw);
-      if (!got) {
-        for (size_t k = 1; !got && k < workers; ++k) {
-          got = shared->deques[(w + k) % workers]->Steal(&raw);
-        }
-        if (got) {
-          metrics.steals->Inc();
-          obs::TraceInstant("steal");
-        }
-      }
-      if (!got) {
-        if (shared->pending.load(std::memory_order_acquire) == 0) return;
-        TimedBackoff(&idle_sweeps, metrics);
-        continue;
-      }
-      idle_sweeps = 0;
-      std::unique_ptr<Node> node(raw);
-      size_t n = shared->popped.fetch_add(1, std::memory_order_relaxed) + 1;
-      metrics.pops->Inc();
-      metrics.deque_depth->Record(
-          static_cast<uint64_t>(std::max<int64_t>(0, shared->deques[w]->size())));
-      if (n > shared->max_nodes) {
-        // Counted but not visited — "count, then cut".
-        shared->budget_exhausted.store(true, std::memory_order_relaxed);
-        shared->abort.store(true, std::memory_order_release);
-        shared->pending.fetch_sub(1, std::memory_order_release);
-        return;
-      }
-      visit(std::move(node), ctx);
-      shared->pending.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  /// Idle-wait ladder: brief yields, then escalating micro-sleeps. On
-  /// shared or oversubscribed cores a pure yield-spin steals cycles
-  /// from the worker actually finishing the tail of the level.
-  static void Backoff(int* idle_sweeps) {
-    ++*idle_sweeps;
-    if (*idle_sweeps < 32) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min(200, (*idle_sweeps - 32 + 1) * 20)));
-    }
-  }
-
-  /// Backoff plus idle-time accounting (level mode: this is the
-  /// barrier-wait time). The clock reads exist only to feed the
-  /// counter, so they are skipped entirely when metrics are off.
-  static void TimedBackoff(int* idle_sweeps,
-                           const internal::ExplorerMetrics& metrics) {
-    if (!obs::MetricsEnabled()) {
-      Backoff(idle_sweeps);
-      return;
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    Backoff(idle_sweeps);
-    metrics.idle_wait_us->Inc(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-
-  template <typename Visit>
-  static void LevelWorker(size_t w, size_t workers, Shared* shared,
-                          std::vector<std::unique_ptr<Node>>* frontier,
+  static void LevelWorker(size_t w, Shared* shared, size_t max_nodes,
                           const Visit& visit) {
     const internal::ExplorerMetrics& metrics = internal::ExplorerMetrics::Get();
     obs::SetThreadLane("worker", static_cast<int>(w));
     obs::Span drain_span("level-drain", static_cast<int64_t>(w));
-    // Seed this worker's slice (owner-only pushes).
-    for (size_t i = w; i < frontier->size(); i += workers) {
-      shared->deques[w]->Push((*frontier)[i].release());
-    }
     Context ctx(shared, w);
-    Node* raw = nullptr;
-    int idle_sweeps = 0;
-    for (;;) {
-      if (shared->abort.load(std::memory_order_acquire)) return;
-      if (shared->Cancelled()) return;
-      bool got = shared->deques[w]->Pop(&raw);
-      if (!got) {
-        for (size_t k = 1; !got && k < workers; ++k) {
-          got = shared->deques[(w + k) % workers]->Steal(&raw);
-        }
-        if (got) {
-          metrics.steals->Inc();
-          obs::TraceInstant("steal");
-        }
+    while (!shared->Stopped()) {
+      size_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= shared->nodes.size()) {
+        if (obs::MetricsEnabled()) shared->claim_failed[w] = Clock::now();
+        return;
       }
-      if (!got) {
-        if (shared->processed.load(std::memory_order_acquire) >=
-            shared->level_size) {
-          return;  // level drained (a seed race cannot under-count:
-                   // every seeded node is processed exactly once)
-        }
-        TimedBackoff(&idle_sweeps, metrics);
-        continue;
-      }
-      idle_sweeps = 0;
-      std::unique_ptr<Node> node(raw);
-      size_t n = shared->popped.fetch_add(1, std::memory_order_relaxed) + 1;
+      std::unique_ptr<Node> node = std::move(shared->nodes[i]);
       metrics.pops->Inc();
-      metrics.deque_depth->Record(
-          static_cast<uint64_t>(std::max<int64_t>(0, shared->deques[w]->size())));
-      if (n > shared->max_nodes) {
-        shared->budget_exhausted.store(true, std::memory_order_relaxed);
-        shared->abort.store(true, std::memory_order_release);
+      if (shared->popped + i + 1 > max_nodes) {
+        shared->CutBudget();
         return;
       }
       visit(std::move(node), ctx);
-      shared->processed.fetch_add(1, std::memory_order_release);
     }
+  }
+
+  /// Adds up, over the workers whose claim failed, the time from that
+  /// failure to the level's join: the wait at the barrier.
+  static void RecordBarrierWait(const Shared& shared) {
+    if (!obs::MetricsEnabled()) return;
+    Clock::time_point joined = Clock::now();
+    Clock::duration waited{0};
+    for (Clock::time_point stamp : shared.claim_failed) {
+      if (stamp != Clock::time_point()) waited += joined - stamp;
+    }
+    internal::ExplorerMetrics::Get().idle_wait_us->Inc(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(waited)
+            .count()));
   }
 };
 

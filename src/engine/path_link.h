@@ -15,8 +15,9 @@ namespace engine {
 
 /// Generic path reconstruction for parallel searches: an immutable
 /// parent chain of steps, so sibling subtrees share every common
-/// prefix and no search mutates a path in place (the serial engines'
-/// mutable push/pop path vector does not survive work stealing).
+/// prefix and no search mutates a path in place (a mutable push/pop
+/// path vector does not survive a node changing workers between
+/// levels).
 ///
 /// Each link carries an *order-preserving byte key* of its step:
 /// memcmp order over keys must equal the caller's content order over

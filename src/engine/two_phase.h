@@ -45,23 +45,19 @@ typename Explorer<Node>::Stats TwoPhaseExplore(
     const Reduce& reduce, const FoundFn& found, const ResetFn& reset) {
   size_t workers = exec.num_threads < 1 ? 1 : exec.num_threads;
   Explorer<Node> explorer;
-  typename Explorer<Node>::Options eopts;
-  eopts.num_threads = 1;
-  eopts.max_nodes = max_nodes;
-  eopts.cancel = exec.cancel;
   if (workers == 1) {
     obs::Span span("serial-dfs");
-    return explorer.Run(make_roots(), eopts, dfs_visit);
+    return explorer.Run(make_roots(), max_nodes, exec.cancel, dfs_visit);
   }
   constexpr size_t kPilotBudget = 256;
-  eopts.max_nodes = std::min(kPilotBudget, max_nodes);
+  size_t pilot_budget = std::min(kPilotBudget, max_nodes);
   typename Explorer<Node>::Stats pilot;
   {
     obs::Span span("pilot");
-    pilot = explorer.Run(make_roots(), eopts, dfs_visit);
+    pilot = explorer.Run(make_roots(), pilot_budget, exec.cancel, dfs_visit);
   }
   if (found() || pilot.cancelled || !pilot.budget_exhausted ||
-      eopts.max_nodes == max_nodes) {
+      pilot_budget == max_nodes) {
     // Found, cancelled, swept, or the global budget itself is spent.
     return pilot;
   }

@@ -45,9 +45,11 @@ class VisitedStore {
   /// `exec` selects the mode and the byte budget
   /// (`max_visited_bytes`, 0 = unlimited).
   VisitedStore(const ExecOptions& exec, size_t shard_count)
-      : exact_(shard_count), max_bytes_(exec.max_visited_bytes) {
+      : max_bytes_(exec.max_visited_bytes) {
     if (exec.visited_mode == VisitedMode::kCompact) {
       compact_.emplace(shard_count);
+    } else {
+      exact_.emplace(shard_count);
     }
   }
 
@@ -83,7 +85,7 @@ class VisitedStore {
       ExactEntry entry(node);
       uint64_t hash = entry.Hash();
       size_t entry_bytes = entry.Bytes();
-      dominated = exact_.CheckAndInsert(
+      dominated = exact_->CheckAndInsert(
           hash, std::move(entry), ExactEntry::Dominates,
           [this](const ExactEntry& evicted) { Release(evicted.Bytes()); });
       if (!dominated) Charge(entry_bytes);
@@ -123,7 +125,7 @@ class VisitedStore {
   /// treedb, byte count and the cut latch. The sweep re-interns from its
   /// roots, so its final counts never depend on what the pilot touched.
   void Clear() {
-    exact_.Clear();
+    if (exact_) exact_->Clear();
     if (compact_) compact_->Clear();
     live_bytes_.store(0, std::memory_order_relaxed);
     truncated_.store(false, std::memory_order_relaxed);
@@ -137,9 +139,10 @@ class VisitedStore {
     live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
-  ShardedVisitedTable<ExactEntry> exact_;
-  /// Engaged only under kCompact, so an exact-mode search constructs no
-  /// treedb and no compact table.
+  /// Exactly one is engaged, by the mode: an exact-mode search
+  /// constructs no treedb and no compact table, a compact-mode search
+  /// no exact shards.
+  std::optional<ShardedVisitedTable<ExactEntry>> exact_;
   std::optional<CompactSearchStorage> compact_;
   const size_t max_bytes_;
   std::atomic<size_t> live_bytes_{0};

@@ -24,7 +24,7 @@ namespace oracle {
 ///  - instances are plain std::map<RelationId, std::set<Tuple>> — no
 ///    interning, no copy-on-write, no configuration hashing;
 ///  - the LTS is enumerated explicitly with std::set visited sets — no
-///    work-stealing engine, no dominance memos, no search plans;
+///    parallel engine, no dominance memos, no search plans;
 ///  - AccLTL formulas are evaluated directly over the transition trace
 ///    by structural recursion — no automaton compilation, no tableau,
 ///    no memoization;

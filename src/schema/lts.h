@@ -113,10 +113,10 @@ struct LtsMemoryStats {
 ///
 /// Runs on the parallel exploration engine when
 /// `exec.num_threads > 1` (engine/cancel.h is the single source of
-/// worker count and cancellation): whole levels are expanded through
-/// the work-stealing deques and reduced deterministically at the
-/// barrier, so every statistic (including the budget cut) is
-/// byte-identical at any worker count; a cancel token that never
+/// worker count and cancellation): the workers claim each level's
+/// configurations through one shared cursor, and the level is reduced
+/// deterministically at the barrier, so every statistic (including
+/// the budget cut) is byte-identical at any worker count; a cancel token that never
 /// fires never changes any statistic. The budget follows the
 /// engine's count-then-cut discipline at level granularity: the level
 /// that exceeds `max_nodes` is fully expanded and counted, the

@@ -49,8 +49,8 @@ inline uint64_t Mix64(uint64_t x) {
 /// `fact_hash`, `fact_values`) take no lock: payloads are written into
 /// block-stable storage *before* the id escapes the shard mutex, so any
 /// id a thread legitimately holds (received over a happens-before edge:
-/// the interning call itself, a shard-map hit, a work-stealing deque, a
-/// join) denotes fully-constructed, immutable data.
+/// the interning call itself, a shard-map hit, a thread-pool region's
+/// start or join) denotes fully-constructed, immutable data.
 class Store {
  public:
   /// The process-global store.

@@ -31,9 +31,9 @@ namespace store {
 ///    resolve by compare-exchange.
 ///  - A reader may call `operator[](i)` only with a *published* id: one
 ///    it received over a happens-before edge from the writer of slot i
-///    (an interner-shard mutex, a work-stealing deque, a join). The
-///    release CAS/store on the block pointer plus that edge make both
-///    the block pointer and the slot contents visible. A read is one
+///    (an interner-shard mutex, a thread-pool region's start or
+///    join). The release CAS/store on the block pointer plus that edge
+///    make both the block pointer and the slot contents visible. A read is one
 ///    count-leading-zeros plus one acquire load of the block pointer.
 template <typename T, size_t kBlockBits = 12>
 class StableVector {

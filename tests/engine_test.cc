@@ -1,8 +1,8 @@
-// Tests for the parallel witness-search engine: the work-stealing
-// deque and thread pool, the sharded visited table's dominance
-// semantics, determinism of the reduced witness across worker counts
-// (seeded / diamond / budget-truncated scenarios), and a stress test
-// hammering the sharded store interner from 8 threads.
+// Tests for the parallel witness-search engine: the explorer's
+// traversal contract, the thread pool, the sharded visited table's
+// dominance semantics, determinism of the reduced witness across
+// worker counts (seeded / diamond / budget-truncated scenarios), and
+// a stress test hammering the sharded store interner from 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "src/engine/thread_pool.h"
 #include "src/engine/two_phase.h"
 #include "src/engine/visited_table.h"
-#include "src/engine/work_deque.h"
 #include "src/logic/parser.h"
 #include "src/obs/metrics.h"
 #include "src/store/fact_store.h"
@@ -35,81 +34,6 @@ namespace {
 
 Value S(const std::string& s) { return Value::Str(s); }
 Value I(int64_t i) { return Value::Int(i); }
-
-// --- Work-stealing deque -----------------------------------------------------
-
-TEST(WorkDequeTest, OwnerPushPopIsLifo) {
-  engine::WorkStealingDeque<int*> deque(4);  // forces growth
-  std::vector<int> items(100);
-  for (int i = 0; i < 100; ++i) {
-    items[static_cast<size_t>(i)] = i;
-    deque.Push(&items[static_cast<size_t>(i)]);
-  }
-  int* out = nullptr;
-  for (int i = 99; i >= 0; --i) {
-    ASSERT_TRUE(deque.Pop(&out));
-    EXPECT_EQ(*out, i);
-  }
-  EXPECT_FALSE(deque.Pop(&out));
-}
-
-TEST(WorkDequeTest, StealTakesOldestFirst) {
-  engine::WorkStealingDeque<int*> deque;
-  std::vector<int> items = {10, 20, 30};
-  for (int& i : items) deque.Push(&i);
-  int* out = nullptr;
-  ASSERT_TRUE(deque.Steal(&out));
-  EXPECT_EQ(*out, 10);
-  ASSERT_TRUE(deque.Pop(&out));
-  EXPECT_EQ(*out, 30);
-}
-
-TEST(WorkDequeTest, ConcurrentStealsConserveItems) {
-  // One owner pushes and pops; three thieves steal. Every item must be
-  // taken exactly once (counted via an atomic per-item flag).
-  constexpr int kItems = 20000;
-  engine::WorkStealingDeque<int*> deque(8);
-  std::vector<int> items(kItems);
-  std::vector<std::atomic<int>> taken(kItems);
-  for (auto& t : taken) t.store(0);
-  std::atomic<bool> done{false};
-  std::atomic<int> total{0};
-
-  auto thief = [&] {
-    int* out = nullptr;
-    while (!done.load(std::memory_order_acquire)) {
-      if (deque.Steal(&out)) {
-        taken[static_cast<size_t>(*out)].fetch_add(1);
-        total.fetch_add(1);
-      }
-    }
-  };
-  std::vector<std::thread> thieves;
-  for (int i = 0; i < 3; ++i) thieves.emplace_back(thief);
-
-  int* out = nullptr;
-  for (int i = 0; i < kItems; ++i) {
-    items[static_cast<size_t>(i)] = i;
-    deque.Push(&items[static_cast<size_t>(i)]);
-    if (i % 3 == 0 && deque.Pop(&out)) {
-      taken[static_cast<size_t>(*out)].fetch_add(1);
-      total.fetch_add(1);
-    }
-  }
-  while (deque.Pop(&out)) {
-    taken[static_cast<size_t>(*out)].fetch_add(1);
-    total.fetch_add(1);
-  }
-  // The owner drained its side; every remaining item was claimed by a
-  // thief's CAS, and joining makes their counter updates visible.
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : thieves) t.join();
-
-  EXPECT_EQ(total.load(), kItems);
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(taken[static_cast<size_t>(i)].load(), 1) << "item " << i;
-  }
-}
 
 // --- Explorer ----------------------------------------------------------------
 
