@@ -219,9 +219,8 @@ class Explorer {
       abort.store(true, std::memory_order_release);
     }
 
-    /// The Stats fields both traversals read back identically
-    /// (RunLevels adds levels_completed; the owning search fills the
-    /// visited/treedb accounting).
+    /// The Stats both traversals report (RunLevels adds
+    /// levels_completed).
     Stats SnapshotStats() const {
       Stats stats;
       stats.nodes_explored = popped;
@@ -237,7 +236,8 @@ class Explorer {
     /// one worker.
     std::vector<std::unique_ptr<Node>> nodes;
     std::atomic<size_t> next{0};  // RunLevels' claim cursor
-    /// Pops before the current level (written between levels only).
+    /// Pops so far; in RunLevels, before the current level (written
+    /// between levels only).
     size_t popped = 0;
     std::atomic<bool> abort{false};
     std::atomic<bool> budget_exhausted{false};

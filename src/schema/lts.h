@@ -116,8 +116,9 @@ struct LtsMemoryStats {
 /// worker count and cancellation): the workers claim each level's
 /// configurations through one shared cursor, and the level is reduced
 /// deterministically at the barrier, so every statistic (including
-/// the budget cut) is byte-identical at any worker count; a cancel token that never
-/// fires never changes any statistic. The budget follows the
+/// the budget cut) is byte-identical at any worker count; a cancel
+/// token that never fires never changes any statistic. The budget
+/// follows the
 /// engine's count-then-cut discipline at level granularity: the level
 /// that exceeds `max_nodes` is fully expanded and counted, the
 /// overflowing configurations are dropped in deterministic content
